@@ -304,13 +304,15 @@ class ReplicaState:
         """Append ``seq`` to the running batch.
 
         The single choke point through which sequences enter ``running``:
-        it drops the vectorized slot arrays back to the object lists and
+        it extends the vectorized slot arrays when they are live (so an
+        admission does not force the next decode to rebuild them) and
         marks the prefill aggregates dirty, so engine loops stay oblivious
         to both caches.
         """
-        self.drop_slots()
         self.prefill_epoch += 1
         self.running.append(seq)
+        if self.slots is not None:
+            self.slots.append(seq, self.kv)
 
     def drop_slots(self) -> None:
         """Invalidate the vectorized decode arrays (syncing any drifted

@@ -19,13 +19,14 @@ stored as *bases* plus a shared python-int offset ``adv``:
   only on iterations where some sequence actually finishes.
 
 Only ``generated_tokens`` drifts away from the Sequence objects while the
-arrays are live; every structural mutation (admission, preemption, steal)
-goes through :meth:`ReplicaState.start_running` / ``drop_slots``, which
-syncs the drifted counters back and makes the object lists authoritative
-again. When aggregate KV headroom cannot cover an iteration's crossings
-the slots refuse to advance and the engine falls back to the scalar
-grow/preempt path for that iteration — preemption order stays bit-exact
-with the object path by construction.
+arrays are live. Admission goes through :meth:`ReplicaState.start_running`,
+which appends the new sequence as a slot rebased onto the live offset;
+every other structural mutation (preemption, steal) goes through
+``drop_slots``, which syncs the drifted counters back and makes the object
+lists authoritative again. When aggregate KV headroom cannot cover an
+iteration's crossings the slots refuse to advance and the engine falls
+back to the scalar grow/preempt path for that iteration — preemption
+order stays bit-exact with the object path by construction.
 
 The arrays are an internal cache: with ``EngineOptions.vectorize`` off (or
 numpy absent, or tracing on) engines run the original scalar path, and the
@@ -44,6 +45,7 @@ except ImportError:  # pragma: no cover - numpy is a baked-in dependency
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import ReplicaState
     from repro.runtime.kvcache import KVCacheManager
+    from repro.runtime.request import Sequence
 
 # Below this batch size the array bookkeeping costs more than the python
 # loop it replaces; the scalar path is used instead (identical results).
@@ -92,6 +94,29 @@ class DecodeSlots:
         # (allocations always cover the current context, so the gap is
         # non-negative); while positive, an iteration does no KV work.
         self.gap = int(self.slack0.min()) if n else 0
+
+    def append(self, seq: "Sequence", kv: "KVCacheManager") -> None:
+        """Add ``seq`` (just appended to ``state.running``) as the last
+        slot, rebased so its live counters read back exactly through the
+        shared offset ``adv``."""
+        adv = self.adv
+        gen = seq.generated_tokens
+        rem = seq.request.output_len - 1 - gen
+        ctx = seq.prompt_len + gen
+        blocks = kv._blocks[seq.seq_id]
+        slack = blocks * self.block_size - ctx
+        self.seqs.append(seq)
+        self.gen0 = np.append(self.gen0, gen - adv)
+        self.rem0 = np.append(self.rem0, rem + adv)
+        self.ctx0 = np.append(self.ctx0, ctx - adv)
+        self.blocks = np.append(self.blocks, blocks)
+        self.slack0 = np.append(self.slack0, slack + adv)
+        self.ctx_sum += ctx
+        # Exact minima, except after every slot retired: then the 0
+        # placeholders make both countdowns fire early, which only costs
+        # one exact rescan.
+        self.min_rem = min(self.min_rem, rem)
+        self.gap = min(self.gap, slack)
 
     def __len__(self) -> int:
         return len(self.seqs)

@@ -119,8 +119,15 @@ class VllmLikeEngine(BaseEngine):
         pp = self.replica_config.pp
         if pp <= 1 or not state.running or not state.waiting:
             return True
-        remaining = sum(s.remaining_prefill for s in state.waiting)
-        target = min(remaining, pp * self.options.max_batched_tokens)
+        # Sum the queue only up to the cap it is clamped at: a deep offline
+        # backlog would otherwise be summed whole on every iteration.
+        cap = pp * self.options.max_batched_tokens
+        target = 0
+        for s in state.waiting:
+            target += s.remaining_prefill
+            if target >= cap:
+                target = cap
+                break
         return state.kv.free_tokens >= target
 
     def _admit_prefills(self, state: ReplicaState) -> list[Sequence]:

@@ -122,6 +122,13 @@ class ReplicaLoad:
         self.peak_queued_prefill_tokens = 0.0
         self.predicted_preemptions = 0  # total over the run (stats)
         self.storm_preemptions = 0  # since the last rebalance (trigger)
+        # Queued-prefill and resident-KV totals of the ledger at
+        # ``_totals_at`` (None: stale). A dispatch folds its own record in,
+        # so a backlog that never retires (offline: every arrival at one
+        # instant) costs O(1) per dispatch instead of a full ledger scan.
+        self._totals_at: float | None = None
+        self._queued = 0.0
+        self._resident = 0
 
     # ------------------------------------------------------------------ #
     # Clock and load views
@@ -142,19 +149,37 @@ class ReplicaLoad:
         self.clock = now
         while self.records and self.records[0].finished_by(now):
             self.records.popleft()
+            self._totals_at = None
         if not self.records:
             self.busy_until = min(self.busy_until, now)
+
+    def _totals(self, now: float) -> tuple[float, int]:
+        """``(queued prefill tokens, resident KV tokens)`` at ``now``,
+        rescanning the ledger only when ``now`` moved or records left it
+        (retired by :meth:`advance`, stolen by :meth:`steal_queued`).
+
+        The queued total is a left fold in record order — not ``sum()``,
+        whose float summation is compensated on Python >= 3.12 — so a
+        dispatch appending its record's term reproduces a rescan exactly.
+        """
+        if now != self._totals_at:
+            queued = 0.0
+            resident = 0
+            for rec in self.records:
+                queued += _remaining(
+                    rec.request.prompt_len, rec.start, rec.prefill_done, now
+                )
+                if rec.started_by(now) and not rec.finished_by(now):
+                    resident += rec.request.total_tokens
+            self._totals_at, self._queued, self._resident = now, queued, resident
+        return self._queued, self._resident
 
     def queued_prefill_tokens(self, now: float | None = None) -> float:
         """Prompt tokens dispatched here but not yet prefilled (JSQ's
         queue-length metric). ``_remaining`` bounds each record's share to
         ``[0, tokens]``, so the depth is clamped to live dispatched work
         by construction."""
-        now = self.clock if now is None else now
-        return sum(
-            _remaining(rec.request.prompt_len, rec.start, rec.prefill_done, now)
-            for rec in self.records
-        )
+        return self._totals(self.clock if now is None else now)[0]
 
     def outstanding_tokens(self, now: float | None = None) -> float:
         """Unprefilled prompt tokens plus predicted undecoded tokens (the
@@ -172,12 +197,7 @@ class ReplicaLoad:
         """Predicted KV tokens resident on the replica: the final context
         length of every request in service (reservation-style accounting,
         matching how admission pressure builds in the engines)."""
-        now = self.clock if now is None else now
-        return sum(
-            rec.request.total_tokens
-            for rec in self.records
-            if rec.started_by(now) and not rec.finished_by(now)
-        )
+        return self._totals(self.clock if now is None else now)[1]
 
     def work_seconds(self, now: float | None = None) -> float:
         """Predicted seconds until this replica drains its queue."""
@@ -215,7 +235,7 @@ class ReplicaLoad:
             request.output_len - 1, ctx.decode_tokens_per_s
         )
         if ctx.kv_capacity_tokens is not None:
-            resident = self.resident_kv_tokens(now) + request.total_tokens
+            resident = self._totals(now)[1] + request.total_tokens
             if resident > ctx.kv_capacity_tokens:
                 self.predicted_preemptions += 1
                 self.storm_preemptions += 1
@@ -227,12 +247,18 @@ class ReplicaLoad:
             finish=finish,
         )
         self.records.append(rec)
+        if now == self._totals_at:
+            # Records are serial FIFO windows (``start >= busy_until``), so
+            # the new record's terms are exactly the ones a rescan adds last.
+            self._queued += _remaining(request.prompt_len, start, prefill_done, now)
+            if rec.started_by(now) and not rec.finished_by(now):
+                self._resident += request.total_tokens
         self.busy_until = finish
         self.num_dispatched += 1
         self.dispatched_prompt_tokens += request.prompt_len
         self.dispatched_tokens += request.total_tokens
         self.peak_queued_prefill_tokens = max(
-            self.peak_queued_prefill_tokens, self.queued_prefill_tokens(now)
+            self.peak_queued_prefill_tokens, self._totals(now)[0]
         )
         return rec
 
@@ -245,6 +271,7 @@ class ReplicaLoad:
         if not stolen:
             return []
         self.records = deque(kept)
+        self._totals_at = None
         self.busy_until = kept[-1].finish if kept else now
         for rec in stolen:
             self.num_dispatched -= 1

@@ -9,7 +9,8 @@ Contracts:
    heap is pure dispatch mechanics, never policy.
 2. **Vector == scalar** — the numpy decode-slot path
    (``EngineOptions.vectorize``) is bit-identical to the object path on
-   online coupled cells, including preemption-heavy ones.
+   online coupled cells, including preemption-heavy ones, and on offline
+   backlogs where admissions extend live slots.
 3. **Fluid calibration** — the mean-field fast path tracks the event
    path on the calibration cells: p99 TTFT within 10%, makespan within
    10% on the fixed fleet; on the autoscaled cell the scale decisions
@@ -18,19 +19,27 @@ Contracts:
    work-volume threshold (small cells keep full fidelity).
 5. **Bench harness** — the perf cells run scaled-down and the
    regression check normalizes by the calibration spin.
+6. **Linear offline backlog** — ledger records visited and
+   ``remaining_prefill`` reads grow linearly with the backlog (counted,
+   not timed, so a quadratic regression fails on any machine).
 """
 
+import pytest
+
+import repro.routing.load as load_mod
 from repro.bench import CELLS, check_measurement, run_cell
 from repro.cluster import ClusterSimulator
 from repro.cluster.fluid import AUTO_FLUID_WORK_ITEMS
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
-from repro.engines.base import EngineOptions
+from repro.engines.base import BaseEngine, EngineOptions
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
+from repro.engines.slots import DecodeSlots
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
 from repro.parallel.config import ParallelConfig, parse_config, parse_transition
+from repro.runtime.request import Request, Sequence
 from repro.workloads.arrivals import (
     bursty_arrivals,
     diurnal_arrivals,
@@ -247,6 +256,133 @@ class TestScalarVectorEquivalence:
             EngineOptions(vectorize=vec),
         )
         assert_bit_identical(mk(False).run(wl), mk(True).run(wl))
+
+
+class TestSlotsSurviveAdmission:
+    """Admission appends to live decode slots instead of dropping them
+    (offline 34b backlogs on 4xA10 T2P2 keep KV under pressure, so
+    admissions land between decode iterations). Every run is checked
+    against the object path, and the slot events seen by the vectorized
+    run prove the append path was taken."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        log = []
+        append, advance, preempt = (
+            DecodeSlots.append,
+            DecodeSlots.try_advance,
+            BaseEngine.preempt,
+        )
+
+        def spy_append(slots, seq, kv):
+            log.append(("append", seq.request.output_len))
+            append(slots, seq, kv)
+
+        def spy_advance(slots, kv):
+            ok = advance(slots, kv)
+            if not ok:
+                log.append(("fallback", None))
+            return ok
+
+        def spy_preempt(engine, *args):
+            log.append(("preempt", None))
+            preempt(engine, *args)
+
+        monkeypatch.setattr(DecodeSlots, "append", spy_append)
+        monkeypatch.setattr(DecodeSlots, "try_advance", spy_advance)
+        monkeypatch.setattr(BaseEngine, "preempt", spy_preempt)
+        return log
+
+    def run_pair(self, make_engine, workload, events):
+        vector = make_engine(True).run(workload)
+        seen = list(events)
+        assert_bit_identical(make_engine(False).run(workload), vector)
+        return seen
+
+    def vllm(self, model, cluster):
+        return lambda vec: VllmLikeEngine(
+            model, cluster, parse_config("T2P2"), EngineOptions(vectorize=vec)
+        )
+
+    def test_pp_offline_backlog(self, model_34b, cluster_a10_4, events):
+        seen = self.run_pair(
+            self.vllm(model_34b, cluster_a10_4), sharegpt_workload(400, seed=3), events
+        )
+        assert any(kind == "append" for kind, _ in seen)
+
+    def test_seesaw_swap_in_resumes(self, model_34b, cluster_a10_4, events):
+        # Every admission into the decode batch of P4->T2P2 is a swap-in
+        # resume from the CPU pool.
+        cp, cd = parse_transition("P4->T2P2")
+        seen = self.run_pair(
+            lambda vec: SeesawEngine(
+                model_34b, cluster_a10_4, cp, cd, SeesawOptions(vectorize=vec)
+            ),
+            sharegpt_workload(400, seed=3),
+            events,
+        )
+        assert any(kind == "append" for kind, _ in seen)
+
+    def test_single_token_output_admitted_on_live_slots(
+        self, model_34b, cluster_a10_4, events
+    ):
+        # output_len == 1 finishes at its prefill, inside the same
+        # iteration that appended it to the slots.
+        reqs = [
+            Request(i, 300, 1) if i % 3 == 0 else Request(i, 600, 150)
+            for i in range(400)
+        ]
+        seen = self.run_pair(self.vllm(model_34b, cluster_a10_4), reqs, events)
+        assert ("append", 1) in seen
+
+    def test_append_then_kv_fallback_and_preemption(
+        self, model_34b, cluster_a10_4, events
+    ):
+        vector_events = self.run_pair(
+            self.vllm(model_34b, cluster_a10_4), sharegpt_workload(300, seed=4), events
+        )
+        seen = [kind for kind, _ in vector_events]
+        first = seen.index("append")
+        fallback = seen.index("fallback", first)
+        assert "preempt" in seen[fallback:]
+
+
+class TestLinearBacklog:
+    """Work counters of an offline static backlog at N and 2N requests.
+
+    34b on 4xA10 T2P2 with max_num_seqs=32 keeps a deep waiting queue
+    behind a KV-bound running batch for most of the run, so every
+    per-iteration queue scan and every per-dispatch ledger scan would
+    show as ~4x growth here."""
+
+    def counted_run(self, model, cluster, n, monkeypatch):
+        # A ledger scan prorates every record it visits through _remaining.
+        counts = {"records": 0, "remaining_prefill": 0}
+        remaining = load_mod._remaining
+        fget = Sequence.remaining_prefill.fget
+
+        def count_record(*args):
+            counts["records"] += 1
+            return remaining(*args)
+
+        def count_read(seq):
+            counts["remaining_prefill"] += 1
+            return fget(seq)
+
+        with monkeypatch.context() as m:
+            m.setattr(load_mod, "_remaining", count_record)
+            m.setattr(Sequence, "remaining_prefill", property(count_read))
+            VllmLikeEngine(
+                model, cluster, parse_config("T2P2"), EngineOptions(max_num_seqs=32)
+            ).run([Request(i, 1024, 64) for i in range(n)])
+        return counts
+
+    def test_work_grows_linearly(self, model_34b, cluster_a10_4, monkeypatch):
+        small = self.counted_run(model_34b, cluster_a10_4, 300, monkeypatch)
+        large = self.counted_run(model_34b, cluster_a10_4, 600, monkeypatch)
+        for name in small:
+            assert small[name] > 0
+            assert large[name] <= 2.2 * small[name], (name, small[name], large[name])
 
 
 class TestFluidCalibration:

@@ -12,9 +12,17 @@ Covers the four contracts the PR pins down:
    seed.
 4. **Storm rebalancing** — a replica predicted to thrash its KV cache
    has its still-pending requests re-routed away.
+5. **Incremental ledger == rescan** — the ledger's cached queued-prefill
+   and resident-KV totals route bit-identically to a scan of every
+   record on every query.
 """
 
+import math
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engines.base import EngineOptions, split_requests
 from repro.engines.vllm_like import VllmLikeEngine
@@ -22,6 +30,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.routing_sweep import run_routing_sweep
 from repro.parallel.config import parse_config
 from repro.routing import (
+    RoutingPlan,
     JSQRouter,
     LeastWorkRouter,
     Po2Router,
@@ -32,6 +41,7 @@ from repro.routing import (
     StaticRouter,
     make_router,
 )
+from repro.routing.load import _remaining
 from repro.runtime.request import Request
 from repro.workloads.arrivals import bursty_arrivals, poisson_arrivals
 from repro.workloads.synthetic import bimodal_workload, constant_workload
@@ -417,3 +427,92 @@ class TestDrainClamp:
                 assert load.work_seconds(now) >= 0.0
                 if not load.records:
                     assert load.work_seconds(now) == 0.0
+
+
+class ScanLedger(ReplicaLoad):
+    """Oracle: the ledger without its incremental totals — every query
+    and every dispatch rescans every record (a left fold in record order,
+    the summation the incremental totals must reproduce)."""
+
+    def _totals(self, now):
+        queued, resident = 0.0, 0
+        for rec in self.records:
+            queued += _remaining(rec.request.prompt_len, rec.start, rec.prefill_done, now)
+            if rec.started_by(now) and not rec.finished_by(now):
+                resident += rec.request.total_tokens
+        return queued, resident
+
+
+@dataclass(frozen=True)
+class UncheckedRequest(Request):
+    """A Request that skips validation: the constructor rejects empty
+    prompts, but the ledger's zero-token arms must still match."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
+# Rates of 1e13+ tokens/s put whole windows inside the 1e-12 retirement
+# epsilon: a record can retire while its prorated prefill is nonzero.
+RATES = st.one_of(
+    st.none(),
+    st.just(math.inf),
+    st.floats(min_value=20.0, max_value=5000.0),
+    st.sampled_from([1e13, 1e15]),
+)
+
+
+@st.composite
+def arrival_streams(draw):
+    """Arrival streams with bursts of simultaneous arrivals, empty prompts
+    and single-token outputs."""
+    n = draw(st.integers(min_value=1, max_value=40) | st.integers(20, 40))
+    now, reqs = 0.0, []
+    for i in range(n):
+        now += draw(st.sampled_from([0.0, 0.0, 0.0, 0.1, 1.0]) | st.floats(0.0, 2.0))
+        prompt = draw(st.one_of(st.just(0), st.just(1), st.integers(1, 800)))
+        output = draw(st.one_of(st.just(1), st.integers(1, 80)))
+        reqs.append(UncheckedRequest(i, prompt, output, now))
+    return reqs
+
+
+class TestIncrementalLedger:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        reqs=arrival_streams(),
+        policy=st.sampled_from(ROUTER_POLICIES),
+        num_replicas=st.integers(min_value=1, max_value=4),
+        prefill=RATES,
+        decode=RATES,
+        # 300-1500 tokens against 1-800-token prompts: predicted
+        # preemptions on some replicas but not all, so storms rebalance.
+        kv=st.one_of(st.none(), st.integers(1, 3000), st.integers(300, 1500)),
+        ttft_slo=st.one_of(st.none(), st.floats(min_value=0.01, max_value=5.0)),
+        storm=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_routes_bit_identically_to_rescan(
+        self, reqs, policy, num_replicas, prefill, decode, kv, ttft_slo, storm, seed
+    ):
+        context = RouterContext(
+            prefill_tokens_per_s=prefill,
+            decode_tokens_per_s=decode,
+            kv_capacity_tokens=kv,
+            ttft_slo=ttft_slo,
+        )
+
+        def route(ledger) -> RoutingPlan:
+            router = make_router(
+                policy, num_replicas, context=context, seed=seed,
+                storm_preemptions=storm,
+            )
+            router.loads = [ledger(i, context) for i in range(num_replicas)]
+            return router.route(reqs)
+
+        fast, oracle = route(ReplicaLoad), route(ScanLedger)
+        assert fast.assignments == oracle.assignments
+        assert [q.hex() for q in fast.stats.peak_queued_prefill_tokens] == [
+            q.hex() for q in oracle.stats.peak_queued_prefill_tokens
+        ]
+        assert fast.stats.predicted_preemptions == oracle.stats.predicted_preemptions
+        assert fast == oracle
