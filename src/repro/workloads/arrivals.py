@@ -31,13 +31,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.runtime.request import Request
 from repro.utils.rng import make_rng
 from repro.workloads.spec import WorkloadSpec
 
@@ -55,10 +55,28 @@ def stamp_arrivals(
         raise ConfigurationError(
             f"{len(arrivals)} arrival times for {len(base.requests)} requests"
         )
+    times = np.asarray(arrivals, dtype=float).tolist()
     reqs = tuple(
-        replace(r, arrival_time=float(t)) for r, t in zip(base.requests, arrivals, strict=True)
+        Request(r.request_id, r.prompt_len, r.output_len, t)
+        for r, t in zip(base.requests, times, strict=True)
     )
     return WorkloadSpec(name=name or base.name, requests=reqs)
+
+
+def _stationary_arrivals(
+    n: int, rate_rps: float, burstiness: float | None, seed: int | None
+) -> np.ndarray:
+    """Cumulative arrival times of the stationary stream at ``rate_rps``.
+
+    Gaps are exponential when ``burstiness`` is None (Poisson) and Gamma
+    with squared coefficient of variation ``burstiness`` otherwise.
+    """
+    rng = make_rng(seed)
+    if burstiness is None:
+        gaps = rng.exponential(1.0 / rate_rps, size=n)
+    else:
+        gaps = rng.gamma(1.0 / burstiness, burstiness / rate_rps, size=n)
+    return np.cumsum(gaps)
 
 
 def poisson_arrivals(
@@ -67,10 +85,10 @@ def poisson_arrivals(
     """Stamp Poisson arrivals at ``rate_rps`` requests per second."""
     if rate_rps <= 0:
         raise ConfigurationError("arrival rate must be positive")
-    rng = make_rng(seed)
-    gaps = rng.exponential(1.0 / rate_rps, size=len(base.requests))
     return stamp_arrivals(
-        base, np.cumsum(gaps), name=f"{base.name}+poisson({rate_rps:g}rps)"
+        base,
+        _stationary_arrivals(len(base.requests), rate_rps, None, seed),
+        name=f"{base.name}+poisson({rate_rps:g}rps)",
     )
 
 
@@ -91,13 +109,9 @@ def bursty_arrivals(
         raise ConfigurationError("arrival rate must be positive")
     if burstiness <= 0:
         raise ConfigurationError("burstiness must be positive")
-    rng = make_rng(seed)
-    shape = 1.0 / burstiness
-    scale = burstiness / rate_rps
-    gaps = rng.gamma(shape, scale, size=len(base.requests))
     return stamp_arrivals(
         base,
-        np.cumsum(gaps),
+        _stationary_arrivals(len(base.requests), rate_rps, burstiness, seed),
         name=f"{base.name}+bursty({rate_rps:g}rps,cv2={burstiness:g})",
     )
 
@@ -115,13 +129,17 @@ def diurnal_arrivals(
 
     The instantaneous intensity is ``lambda(t) = rate_rps * (1 +
     amplitude * sin(2*pi*t / period_s))``. Implemented as an inverse
-    time-warp of a stationary stamper at the same mean rate: the base
-    process (Poisson, or Gamma-bursty when ``burstiness > 1``) supplies
-    cumulative arrivals, and each is mapped through the inverse of the
-    cumulative intensity ``Lambda(t)``, so short-range burstiness
-    survives while the day curve shapes the long run. ``amplitude`` must
-    be in ``[0, 1)`` so the intensity stays positive (0 recovers the base
-    process up to the warp's identity).
+    time-warp of a stationary stream at the same mean rate: the base
+    process supplies cumulative arrivals, and each is mapped through the
+    inverse of the cumulative intensity ``Lambda(t)``, so short-range
+    burstiness survives while the day curve shapes the long run. The
+    stationary stream is the one :func:`poisson_arrivals` (``burstiness
+    == 1``) or :func:`bursty_arrivals` stamps for the same seed.
+    ``amplitude`` must be in ``[0, 1)`` so the intensity stays positive
+    (0 recovers the base process up to the warp's identity).
+
+    The inverse is an 80-step bisection run over all requests at once,
+    which stops early once a step moves no request's bracket.
     """
     if rate_rps <= 0:
         raise ConfigurationError("arrival rate must be positive")
@@ -131,37 +149,39 @@ def diurnal_arrivals(
         raise ConfigurationError("diurnal amplitude must be in [0, 1)")
     if burstiness <= 0:
         raise ConfigurationError("burstiness must be positive")
-    if burstiness == 1.0:
-        stationary = poisson_arrivals(base, rate_rps, seed=seed)
-    else:
-        stationary = bursty_arrivals(
-            base, rate_rps, burstiness=burstiness, seed=seed
-        )
+    stationary = _stationary_arrivals(
+        len(base.requests),
+        rate_rps,
+        None if burstiness == 1.0 else burstiness,
+        seed,
+    )
     omega = 2.0 * math.pi / period_s
 
-    def cumulative(t: float) -> float:
+    def cumulative(t: np.ndarray) -> np.ndarray:
         # Integral of lambda(t): rate * (t + amp/omega * (1 - cos(omega t))).
-        return rate_rps * (t + amplitude / omega * (1.0 - math.cos(omega * t)))
+        return rate_rps * (t + amplitude / omega * (1.0 - np.cos(omega * t)))
 
-    def invert(target: float) -> float:
-        # Lambda is strictly increasing (amplitude < 1); bisect it.
-        lo, hi = 0.0, target / rate_rps + period_s
-        while cumulative(hi) < target:
-            hi += period_s
-        for _ in range(80):
-            mid = (lo + hi) / 2.0
-            if cumulative(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2.0
-
-    warped = [invert(cumulative_units)
-              for cumulative_units in
-              (rate_rps * r.arrival_time for r in stationary.requests)]
+    # Lambda is strictly increasing (amplitude < 1); bisect it.
+    targets = rate_rps * stationary
+    lo = np.zeros_like(targets)
+    hi = targets / rate_rps + period_s
+    short = cumulative(hi) < targets
+    while short.any():
+        hi = np.where(short, hi + period_s, hi)
+        short = cumulative(hi) < targets
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        below = cumulative(mid) < targets
+        new_lo = np.where(below, mid, lo)
+        new_hi = np.where(below, hi, mid)
+        # The next step depends only on (lo, hi): a step that moves no
+        # bracket is a fixed point, and so is every step after it.
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return stamp_arrivals(
         base,
-        warped,
+        (lo + hi) / 2.0,
         name=(
             f"{base.name}+diurnal({rate_rps:g}rps,T={period_s:g}s,"
             f"a={amplitude:g})"

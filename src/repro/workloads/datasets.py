@@ -56,13 +56,15 @@ def sharegpt_workload(
     if num_requests < 1:
         raise ConfigurationError("num_requests must be >= 1")
     rng = make_rng(seed)
-    inputs = _lognormal_lengths(rng, num_requests, median=250, sigma=1.0, lo=4, hi=4096)
+    inputs = _lognormal_lengths(
+        rng, num_requests, median=250, sigma=1.0, lo=4, hi=4096
+    ).tolist()
     # Shared latent: longer conversations tend to elicit longer replies.
     latent = rng.normal(size=num_requests)
     out_raw = np.exp(np.log(200) + 0.85 * (0.3 * latent + 0.7 * rng.normal(size=num_requests)))
-    outputs = np.clip(np.round(out_raw), 4, 2048).astype(int)
+    outputs = np.clip(np.round(out_raw), 4, 2048).astype(int).tolist()
     reqs = tuple(
-        Request(request_id=i, prompt_len=int(p), output_len=int(o))
+        Request(request_id=i, prompt_len=p, output_len=o)
         for i, (p, o) in enumerate(zip(inputs, outputs, strict=True))
     )
     return WorkloadSpec(name="sharegpt", requests=reqs)
@@ -79,12 +81,12 @@ def arxiv_workload(num_requests: int = 500, seed: int | None = None) -> Workload
     rng = make_rng(seed)
     inputs = _lognormal_lengths(
         rng, num_requests, median=2800, sigma=0.40, lo=512, hi=6144
-    )
+    ).tolist()
     outputs = _lognormal_lengths(
         rng, num_requests, median=180, sigma=0.45, lo=32, hi=640
-    )
+    ).tolist()
     reqs = tuple(
-        Request(request_id=i, prompt_len=int(p), output_len=int(o))
+        Request(request_id=i, prompt_len=p, output_len=o)
         for i, (p, o) in enumerate(zip(inputs, outputs, strict=True))
     )
     return WorkloadSpec(name="arxiv-summarization", requests=reqs)

@@ -47,10 +47,10 @@ def uniform_workload(
     if lo_p < 1 or lo_p > hi_p or lo_o < 1 or lo_o > hi_o:
         raise ConfigurationError("invalid length ranges")
     rng = make_rng(seed)
-    prompts = rng.integers(lo_p, hi_p + 1, size=num_requests)
-    outputs = rng.integers(lo_o, hi_o + 1, size=num_requests)
+    prompts = rng.integers(lo_p, hi_p + 1, size=num_requests).tolist()
+    outputs = rng.integers(lo_o, hi_o + 1, size=num_requests).tolist()
     reqs = tuple(
-        Request(request_id=i, prompt_len=int(p), output_len=int(o))
+        Request(request_id=i, prompt_len=p, output_len=o)
         for i, (p, o) in enumerate(zip(prompts, outputs, strict=True))
     )
     return WorkloadSpec(name=name or "uniform", requests=reqs)

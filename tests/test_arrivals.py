@@ -1,13 +1,17 @@
 """Arrival processes: determinism, target rates, burstiness, traces."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.workloads.arrivals import (
     bursty_arrivals,
+    diurnal_arrivals,
     make_arrivals,
     offered_rate,
     poisson_arrivals,
@@ -44,6 +48,13 @@ class TestStamping:
     def test_explicit_stamp(self):
         wl = stamp_arrivals(base(3), [0.0, 1.0, 2.5])
         assert [r.arrival_time for r in wl.requests] == [0.0, 1.0, 2.5]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_arrivals(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            stamp_arrivals(base(3), [0.0, bad, 1.0])
+        with pytest.raises(ConfigurationError, match="finite"):
+            stamp_arrivals(base(3), np.array([0.0, bad, 1.0]))
 
 
 class TestPoisson:
@@ -190,8 +201,6 @@ class TestDispatch:
 
 class TestDiurnal:
     def test_deterministic_per_seed(self):
-        from repro.workloads.arrivals import diurnal_arrivals
-
         a = diurnal_arrivals(base(64), 2.0, 60.0, seed=3)
         b = diurnal_arrivals(base(64), 2.0, 60.0, seed=3)
         assert [r.arrival_time for r in a.requests] == [
@@ -203,8 +212,6 @@ class TestDiurnal:
         ]
 
     def test_mean_rate_and_order_preserved(self):
-        from repro.workloads.arrivals import diurnal_arrivals
-
         wl = diurnal_arrivals(base(256), 4.0, 30.0, seed=0)
         stamps = [r.arrival_time for r in wl.requests]
         assert stamps == sorted(stamps)
@@ -214,8 +221,6 @@ class TestDiurnal:
         """With amplitude 0.8 the rising half of each period must hold
         clearly more arrivals than the falling half (the analytic ratio is
         (pi + 1.6)/(pi - 1.6) ~ 3.1)."""
-        from repro.workloads.arrivals import diurnal_arrivals
-
         period = 60.0
         wl = diurnal_arrivals(base(400), 2.0, period, amplitude=0.8, seed=0)
         phases = [(r.arrival_time % period) / period for r in wl.requests]
@@ -224,8 +229,6 @@ class TestDiurnal:
         assert peak > 2 * trough
 
     def test_bursty_base_process(self):
-        from repro.workloads.arrivals import diurnal_arrivals
-
         smooth = diurnal_arrivals(base(64), 2.0, 60.0, burstiness=1.0, seed=0)
         bursty = diurnal_arrivals(base(64), 2.0, 60.0, burstiness=8.0, seed=0)
         assert [r.arrival_time for r in smooth.requests] != [
@@ -233,8 +236,6 @@ class TestDiurnal:
         ]
 
     def test_validation(self):
-        from repro.workloads.arrivals import diurnal_arrivals
-
         with pytest.raises(ConfigurationError, match="rate"):
             diurnal_arrivals(base(4), 0.0, 60.0)
         with pytest.raises(ConfigurationError, match="period"):
@@ -282,3 +283,55 @@ class TestTraceRescale:
         p = self.write_json(tmp_path, [0.0, 1.0])
         with pytest.raises(ConfigurationError, match="positive"):
             trace_arrivals(base(2), p, rate_rps=-1.0)
+
+
+def scalar_diurnal_oracle(base_wl, rate_rps, period_s, amplitude, burstiness, seed):
+    """The per-request reference warp: one scalar bisection per arrival,
+    on top of the stationary stamper the diurnal docstring names."""
+    if burstiness == 1.0:
+        stationary = poisson_arrivals(base_wl, rate_rps, seed=seed)
+    else:
+        stationary = bursty_arrivals(base_wl, rate_rps, burstiness=burstiness, seed=seed)
+    omega = 2.0 * math.pi / period_s
+
+    def cumulative(t):
+        return rate_rps * (t + amplitude / omega * (1.0 - math.cos(omega * t)))
+
+    def invert(target):
+        lo, hi = 0.0, target / rate_rps + period_s
+        while cumulative(hi) < target:
+            hi += period_s
+        for _ in range(80):
+            mid = (lo + hi) / 2.0
+            if cumulative(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2.0
+
+    return [invert(rate_rps * r.arrival_time) for r in stationary.requests]
+
+
+class TestDiurnalMatchesScalarOracle:
+    """The array bisection is bit-identical to the per-request one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        rate=st.floats(0.01, 500.0),
+        period=st.floats(0.01, 1e5),
+        amplitude=st.floats(0.0, 1.0, exclude_max=True),
+        burstiness=st.sampled_from([1.0, 0.25, 0.5, 2.0, 4.0, 16.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical(self, n, rate, period, amplitude, burstiness, seed):
+        wl = diurnal_arrivals(
+            base(n), rate, period, amplitude=amplitude, burstiness=burstiness,
+            seed=seed,
+        )
+        expected = scalar_diurnal_oracle(base(n), rate, period, amplitude, burstiness, seed)
+        assert [r.arrival_time for r in wl.requests] == expected
+        assert wl.name == (
+            f"{base(n).name}+diurnal({rate:g}rps,T={period:g}s,a={amplitude:g})"
+        )
+        assert [r.request_id for r in wl.requests] == list(range(n))

@@ -22,8 +22,12 @@ Contracts:
 6. **Linear offline backlog** — ledger records visited and
    ``remaining_prefill`` reads grow linearly with the backlog (counted,
    not timed, so a quadratic regression fails on any machine).
+7. **Array-native workload generation** — a diurnal workload builds
+   each ``Request`` once and runs its bisection in a fixed number of
+   array passes, whatever the request count (counted, not timed).
 """
 
+import numpy as np
 import pytest
 
 import repro.routing.load as load_mod
@@ -383,6 +387,39 @@ class TestLinearBacklog:
         for name in small:
             assert small[name] > 0
             assert large[name] <= 2.2 * small[name], (name, small[name], large[name])
+
+
+class TestArrayNativeWorkloads:
+    """Work counters of ``diurnal_arrivals`` at 1k and 10k requests."""
+
+    def counted_diurnal(self, n, monkeypatch):
+        counts = {"post_init": 0, "cos": 0}
+        post_init, cos = Request.__post_init__, np.cos
+
+        def count_post_init(req):
+            counts["post_init"] += 1
+            post_init(req)
+
+        def count_cos(x):
+            counts["cos"] += 1
+            return cos(x)
+
+        wl = sharegpt_workload(n, seed=0)
+        with monkeypatch.context() as m:
+            m.setattr(Request, "__post_init__", count_post_init)
+            m.setattr(np, "cos", count_cos)
+            diurnal_arrivals(wl, rate_rps=35.0, period_s=8640.0, seed=0)
+        return counts
+
+    def test_requests_built_once_and_passes_fixed(self, monkeypatch):
+        small = self.counted_diurnal(1_000, monkeypatch)
+        large = self.counted_diurnal(10_000, monkeypatch)
+        assert small["post_init"] == 1_000
+        assert large["post_init"] == 10_000
+        # One period-extension check plus at most 80 bisection steps. The
+        # same seed and rate make the 1k stream a prefix of the 10k one,
+        # and the earliest arrivals take the most steps to converge.
+        assert 0 < small["cos"] == large["cos"] <= 81
 
 
 class TestFluidCalibration:
