@@ -53,7 +53,7 @@ from repro.costmodel.breakdown import Breakdown
 from repro.costmodel.step import ITERATION_OVERHEAD
 from repro.errors import ConfigurationError, SimulationError
 from repro.routing.stats import FleetEvent, FleetStats, RouterStats
-from repro.runtime.latency import LatencyStats, RequestLatency
+from repro.runtime.latency import LatencyStats
 from repro.runtime.metrics import EngineResult
 from repro.runtime.request import Request
 from repro.utils.rng import make_rng
@@ -474,15 +474,20 @@ class FluidSimulator:
         # jsq ranks queued prefill tokens = (ready - now) * rate, and slo
         # ranks predicted TTFT = wait + prompt/rate: both are monotone in
         # the ready time (fluid replicas never preempt), so the argmin of
-        # ``ready`` answers either policy; ties go to the lowest replica
-        # id because ``active`` is id-sorted.
+        # ``ready`` answers either policy. The argmin is over raw ``ready``,
+        # not the clamped wait: among idle replicas (ready < now) it picks
+        # the one idle longest, and only exact ties go to the lowest id
+        # (``active`` is id-sorted). The event path's JSQRouter reads 0
+        # queued tokens on every idle replica and picks the lowest id.
         return int(self._ready.argmin())
 
     # ------------------------------------------------------------------ #
 
     def run(self) -> EngineResult:
         reqs = self.requests
-        order = sorted(range(len(reqs)), key=lambda i: (reqs[i].arrival_time, i))
+        n = len(reqs)
+        arrivals = np.array([r.arrival_time for r in reqs], dtype=np.float64)
+        order = np.argsort(arrivals, kind="stable").tolist()
         pf_rate = self.prefill_rate
         active = self.active
         ready_arr = self._ready
@@ -490,13 +495,13 @@ class FluidSimulator:
         decode_tail = 1.0 / self.decode_rate
         budget_tokens = float(self.engine.options.max_batched_tokens)
 
-        arrival_t = [0.0] * len(reqs)
-        sched_t = [0.0] * len(reqs)
-        first_t = [0.0] * len(reqs)
-        finish_t = [0.0] * len(reqs)
-        assigned = [0] * len(reqs)
+        # Per-request stamps, indexed like ``reqs``: they become the
+        # LatencyStats columns as they are.
+        sched_t = np.empty(n, dtype=np.float64)
+        first_t = np.empty(n, dtype=np.float64)
+        finish_t = np.empty(n, dtype=np.float64)
 
-        arrivals_end = reqs[order[-1]].arrival_time if order else 0.0
+        arrivals_end = reqs[order[-1]].arrival_time
         tpot, tpot_drain = self._tpot_now = self._tpot(0.0)
         tel = self.telemetry
         trc = self.engine.options.tracing
@@ -592,11 +597,9 @@ class FluidSimulator:
                 replica.peak_queued = queued
             if self._decode_secs.shape[0] > k:
                 self._decode_secs[k] += decode_tokens * decode_tail
-            arrival_t[i] = now
             sched_t[i] = sched
             first_t[i] = first
             finish_t[i] = finish
-            assigned[i] = replica.replica_id
             if san is not None:
                 san.note_fluid_request(
                     req.request_id,
@@ -607,8 +610,7 @@ class FluidSimulator:
                     finish=finish,
                 )
 
-        last_arrival = max(arrival_t) if arrival_t else 0.0
-        self._reap(last_arrival)
+        self._reap(arrivals_end)
         for r in self.draining:
             r.stopped_at = max(r.ready, r.decode_done, r.active_at)
             self.events.append(
@@ -619,7 +621,7 @@ class FluidSimulator:
             )
         self.draining = []
         makespan = max(
-            max(finish_t) if finish_t else 0.0,
+            float(finish_t.max()),
             max(
                 (r.stopped_at for r in self.replicas if math.isfinite(r.stopped_at)),
                 default=0.0,
@@ -658,17 +660,6 @@ class FluidSimulator:
                 now=makespan,
             )
 
-        records = tuple(
-            RequestLatency(
-                request_id=reqs[i].request_id,
-                arrival_time=arrival_t[i],
-                first_schedule_time=sched_t[i],
-                first_token_time=first_t[i],
-                finish_time=finish_t[i],
-                output_len=reqs[i].output_len,
-            )
-            for i in range(len(reqs))
-        )
         input_tokens = sum(r.prompt_len for r in reqs)
         output_tokens = sum(r.output_len for r in reqs)
         phase_time = {
@@ -690,7 +681,14 @@ class FluidSimulator:
             breakdown=Breakdown(),
             iterations=0,
             transitions=0,
-            latency=LatencyStats(records=records),
+            latency=LatencyStats(
+                request_id=np.array([r.request_id for r in reqs], dtype=np.int64),
+                arrival_time=arrivals,
+                first_schedule_time=sched_t,
+                first_token_time=first_t,
+                finish_time=finish_t,
+                output_len=np.array([r.output_len for r in reqs], dtype=np.int64),
+            ),
             router=self._stats(makespan),
         )
 

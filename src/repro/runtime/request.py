@@ -35,7 +35,7 @@ class SequenceState(enum.Enum):
     FINISHED = "finished"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """One offline inference request."""
 

@@ -25,12 +25,16 @@ Contracts:
 7. **Array-native workload generation** — a diurnal workload builds
    each ``Request`` once and runs its bisection in a fixed number of
    array passes, whatever the request count (counted, not timed).
+8. **Columnar latency** — a fluid run hands its stamps over as
+   ``LatencyStats`` columns and builds no ``RequestLatency``; the
+   records are materialized once, on first access (counted).
 """
 
 import numpy as np
 import pytest
 
 import repro.routing.load as load_mod
+import repro.runtime.latency as latency_mod
 from repro.bench import CELLS, check_measurement, run_cell
 from repro.cluster import ClusterSimulator
 from repro.cluster.fluid import AUTO_FLUID_WORK_ITEMS
@@ -43,6 +47,7 @@ from repro.engines.vllm_like import VllmLikeEngine
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
 from repro.parallel.config import ParallelConfig, parse_config, parse_transition
+from repro.runtime.latency import RequestLatency
 from repro.runtime.request import Request, Sequence
 from repro.workloads.arrivals import (
     bursty_arrivals,
@@ -420,6 +425,45 @@ class TestArrayNativeWorkloads:
         # same seed and rate make the 1k stream a prefix of the 10k one,
         # and the earliest arrivals take the most steps to converge.
         assert 0 < small["cos"] == large["cos"] <= 81
+
+
+class TestColumnarLatency:
+    """Record objects built by a fluid run of n requests, at 1k and 10k."""
+
+    def counted_fluid(self, n, monkeypatch):
+        counts = {"init": 0, "build": 0}
+        init, build = RequestLatency.__init__, latency_mod._build_records
+
+        def count_init(self, *args, **kwargs):
+            counts["init"] += 1
+            init(self, *args, **kwargs)
+
+        def count_build(columns):
+            counts["build"] += 1
+            return build(columns)
+
+        reqs = poisson_arrivals(sharegpt_workload(n, seed=0), 40.0, seed=0)
+        eng = VllmLikeEngine(
+            get_model("15b"),
+            make_cluster("A10", 8),
+            ParallelConfig(dp=4, tp=2, pp=1),
+            EngineOptions(router="jsq", coupled=True, fidelity="fluid"),
+        )
+        with monkeypatch.context() as m:
+            m.setattr(RequestLatency, "__init__", count_init)
+            m.setattr(latency_mod, "_build_records", count_build)
+            latency = eng.run(reqs).latency
+            at_return = dict(counts)
+            records = latency.records
+            assert latency.records is records
+        assert len(records) == n
+        return at_return, counts
+
+    def test_no_record_objects_until_asked(self, monkeypatch):
+        for n in (1_000, 10_000):
+            at_return, after = self.counted_fluid(n, monkeypatch)
+            assert at_return == {"init": 0, "build": 0}
+            assert after == {"init": 0, "build": 1}
 
 
 class TestFluidCalibration:
