@@ -15,22 +15,20 @@ SLO attainment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, fields, replace
 
 from repro.autotuner.objective import ServingObjective
 from repro.autotuner.predictor import predict_request_rate
+from repro.core.options import SeesawOptions
 from repro.engines.base import EngineOptions
 from repro.errors import CapacityError, ConfigurationError
+from repro.exec import CellExecutor, CellSpec
 from repro.hardware.cluster import ClusterSpec
 from repro.models.config import ModelConfig
 from repro.parallel.config import ParallelConfig
 from repro.parallel.enumerate import feasible_configs
+from repro.runtime.metrics import EngineResult
 from repro.workloads.spec import WorkloadSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.options import SeesawOptions
-    from repro.exec import CellExecutor
 
 
 @dataclass(frozen=True)
@@ -166,46 +164,32 @@ def best_static_config(
     sample_requests: int = 64,
     options: EngineOptions | None = None,
     objective: ServingObjective | None = None,
-    executor: "CellExecutor | None" = None,
+    executor: CellExecutor | None = None,
 ) -> ParallelConfig:
     """Best static configuration; optionally re-rank analytic top-k by
     simulating a workload subsample with the vLLM-like engine. Under an
     ``slo`` objective the simulated score is measured SLO attainment
     (throughput breaking ties), not raw throughput.
 
-    ``executor`` fans the top-k validation runs across worker processes
-    (and through the result cache when one is attached); ``None`` keeps
-    the exact serial loop. Both paths score identical results, so the
-    pick is identical."""
+    ``executor`` (default: an inline :class:`~repro.exec.CellExecutor`)
+    runs the top-k validation cells; its worker count and cache never
+    change the pick."""
     objective = objective or ServingObjective()
     ranked = rank_static_configs(
         model, cluster, workload, allow_dp=allow_dp, objective=objective
     )
     if simulate_top <= 1:
         return ranked[0].config
+    executor = executor or CellExecutor()
     sample = workload.subset(min(sample_requests, workload.num_requests))
-    if executor is not None:
-        from repro.exec import CellSpec
-
-        specs = [
-            CellSpec(
-                engine="vllm",
-                model=model,
-                cluster=cluster,
-                config=cand.config.label(),
-                options=options if options is not None else EngineOptions(),
-                workload=sample,
-            )
-            for cand in ranked[:simulate_top]
-        ]
-        runs = executor.run(specs)
-    else:
-        from repro.engines.vllm_like import VllmLikeEngine
-
-        runs = [
-            VllmLikeEngine(model, cluster, cand.config, options).run(sample)
-            for cand in ranked[:simulate_top]
-        ]
+    runs = executor.run(
+        CellSpec(
+            engine="vllm", model=model, cluster=cluster,
+            config=cand.config.label(), options=options or EngineOptions(),
+            workload=sample,
+        )
+        for cand in ranked[:simulate_top]
+    )
     best_cfg, best_key = None, None
     for cand, result in zip(ranked[:simulate_top], runs, strict=True):
         key = objective.result_key(result)
@@ -223,9 +207,9 @@ def best_seesaw_pair(
     allow_dp: bool = True,
     simulate_top: int = 0,
     sample_requests: int = 64,
-    options: "SeesawOptions | None" = None,
+    options: SeesawOptions | None = None,
     objective: ServingObjective | None = None,
-    executor: "CellExecutor | None" = None,
+    executor: CellExecutor | None = None,
 ) -> tuple[ParallelConfig, ParallelConfig]:
     """Best (cp, cd) pair; optionally validated by short simulation.
 
@@ -233,9 +217,9 @@ def best_seesaw_pair(
     for that validation (previously the simulated re-ranking silently
     ignored arrival/router engine options). Under an ``slo`` objective the
     engine is also told the predicted arrival rate so its phase loop can
-    weigh waiting against re-sharding. ``executor`` parallelizes (and,
-    with a cache, memoizes) the validation runs; the pick is identical
-    either way.
+    weigh waiting against re-sharding. ``executor`` (default: an inline
+    :class:`~repro.exec.CellExecutor`) runs the validation cells; its
+    worker count and cache never change the pick.
     """
     objective = objective or ServingObjective()
     ranked = rank_seesaw_pairs(
@@ -244,40 +228,21 @@ def best_seesaw_pair(
     if simulate_top <= 1:
         top = ranked[0]
         return top.prefill_config, top.decode_config
-    from repro.core.options import SeesawOptions
-
-    if options is None:
-        options = SeesawOptions()
+    executor = executor or CellExecutor()
+    options = options or SeesawOptions()
     # The hint never overrides an explicitly-supplied rate (e.g. one
     # measured from a trace) — the validation engines must match what the
     # caller will actually run.
     if options.arrival_rate is None and objective.arrival_rate_hint is not None:
         options = replace(options, arrival_rate=objective.arrival_rate_hint)
     sample = workload.subset(min(sample_requests, workload.num_requests))
-    if executor is not None:
-        from repro.exec import CellSpec
-
-        specs = [
-            CellSpec(
-                engine="seesaw",
-                model=model,
-                cluster=cluster,
-                config=cand.label(),
-                options=options,
-                workload=sample,
-            )
-            for cand in ranked[:simulate_top]
-        ]
-        runs = executor.run(specs)
-    else:
-        from repro.core.engine import SeesawEngine
-
-        runs = [
-            SeesawEngine(
-                model, cluster, cand.prefill_config, cand.decode_config, options
-            ).run(sample)
-            for cand in ranked[:simulate_top]
-        ]
+    runs = executor.run(
+        CellSpec(
+            engine="seesaw", model=model, cluster=cluster,
+            config=cand.label(), options=options, workload=sample,
+        )
+        for cand in ranked[:simulate_top]
+    )
     best, best_key = None, None
     for cand, result in zip(ranked[:simulate_top], runs, strict=True):
         key = objective.result_key(result)
@@ -295,48 +260,90 @@ def tune_chunk_size(
     *,
     candidates: tuple[int, ...] = (512, 1024, 2048, 4096),
     sample_requests: int = 48,
-    executor: "CellExecutor | None" = None,
+    executor: CellExecutor | None = None,
 ) -> int:
     """Pick the chunked-prefill chunk size by short simulation.
 
     The paper tunes vLLM's chunk size per workload ('otherwise suboptimal
     chunk sizes would cause severe throughput degradation'); this helper is
-    that tuning loop. ``executor`` fans the candidate runs out in
-    parallel; the pick is identical either way.
+    that tuning loop. ``executor`` (default: an inline
+    :class:`~repro.exec.CellExecutor`) runs the candidate cells.
     """
     if not candidates:
         raise ConfigurationError("need at least one chunk-size candidate")
+    executor = executor or CellExecutor()
     sample = workload.subset(min(sample_requests, workload.num_requests))
-    if executor is not None:
-        from repro.exec import CellSpec
-
-        specs = [
-            CellSpec(
-                engine="vllm",
-                model=model,
-                cluster=cluster,
-                config=config.label(),
-                options=EngineOptions(chunked_prefill=True, chunk_size=size),
-                workload=sample,
-            )
-            for size in candidates
-        ]
-        runs = executor.run(specs)
-    else:
-        from repro.engines.vllm_like import VllmLikeEngine
-
-        runs = [
-            VllmLikeEngine(
-                model,
-                cluster,
-                config,
-                EngineOptions(chunked_prefill=True, chunk_size=size),
-            ).run(sample)
-            for size in candidates
-        ]
+    runs = executor.run(
+        CellSpec(
+            engine="vllm", model=model, cluster=cluster, config=config.label(),
+            options=EngineOptions(chunked_prefill=True, chunk_size=size),
+            workload=sample,
+        )
+        for size in candidates
+    )
     best_size, best_rps = candidates[0], -1.0
     for size, result in zip(candidates, runs, strict=True):
         rps = result.throughput_rps
         if rps > best_rps:
             best_size, best_rps = size, rps
     return best_size
+
+
+def tuned_head_to_head(
+    model: ModelConfig,
+    cluster: ClusterSpec,
+    workload: WorkloadSpec,
+    *,
+    options: EngineOptions | None = None,
+    objective: ServingObjective | None = None,
+    simulate_top: int = 3,
+    seed: int = 0,
+    executor: CellExecutor | None = None,
+) -> tuple[EngineResult, EngineResult]:
+    """Tune both systems on one cell and serve the full workload with
+    each: the paper's vLLM-vs-Seesaw comparison (Fig. 10/11).
+
+    vLLM gets the best static config, a tuned chunk size, and the better
+    of its chunked and plain runs under ``objective`` (chunked prefill is
+    not always a win, and under ``slo`` a faster run that misses the SLOs
+    must not displace a compliant one). Seesaw gets the best (cp, cd)
+    pair. ``options`` carries the shared knobs (router, coupling, SLOs,
+    fleet) into every run; the Seesaw runs add the objective's arrival
+    rate hint. Returns ``(vllm, seesaw)``.
+    """
+    objective = objective or ServingObjective()
+    executor = executor or CellExecutor()
+    options = options or EngineOptions()
+    static_cfg = best_static_config(
+        model, cluster, workload, simulate_top=simulate_top,
+        options=options, objective=objective, executor=executor,
+    )
+    chunk = tune_chunk_size(model, cluster, static_cfg, workload, executor=executor)
+    seesaw_options = SeesawOptions(
+        **{f.name: getattr(options, f.name) for f in fields(EngineOptions)},
+        arrival_rate=objective.arrival_rate_hint,
+    )
+    cp, cd = best_seesaw_pair(
+        model, cluster, workload, simulate_top=simulate_top,
+        options=seesaw_options, objective=objective, executor=executor,
+    )
+
+    def cell(engine: str, config: str, opts: EngineOptions) -> CellSpec:
+        return CellSpec(
+            engine=engine, model=model, cluster=cluster, config=config,
+            options=opts, workload=workload, seed=seed,
+        )
+
+    chunked, plain, seesaw = executor.run(
+        [
+            cell(
+                "vllm", static_cfg.label(),
+                replace(options, chunked_prefill=True, chunk_size=chunk),
+            ),
+            cell("vllm", static_cfg.label(), options),
+            cell("seesaw", f"{cp.label()}->{cd.label()}", seesaw_options),
+        ]
+    )
+    if objective.result_key(plain) > objective.result_key(chunked):
+        return plain, seesaw
+    return chunked, seesaw

@@ -5,7 +5,6 @@ shared-clock invariant sanitizer, and the pinned golden-cell checker
 from repro.check.goldens import (
     GOLDEN_SEED,
     GoldenOutcome,
-    golden_scenarios,
     render_goldens_table,
     run_goldens,
 )

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
 from repro.runtime.metrics import EngineResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec import CellExecutor, CellSpec
 
 # Relative tolerance of the equality check. The contract is bit-exact
 # reproduction; the epsilon only absorbs decimal round-tripping of the
@@ -25,7 +28,7 @@ from repro.runtime.metrics import EngineResult
 GOLDEN_REL_TOL = 1e-12
 
 # Captured at the seed commit (tests/golden_offline.py). Keys map to the
-# scenario builders below; values are the seed's totals and phase times.
+# cell specs below; values are the seed's totals and phase times.
 GOLDEN_SEED: dict[str, dict[str, object]] = {
     "vllm_plain": {
         "total_time": 0.2112616800702835,
@@ -79,81 +82,15 @@ SCENARIO_ENGINES: dict[str, str] = {
 }
 
 
-def golden_scenarios() -> dict[str, Callable[[], EngineResult]]:
-    """The pinned engine runs, keyed like :data:`GOLDEN_SEED`.
+def golden_cell_specs() -> dict[str, CellSpec]:
+    """The pinned engine runs as :class:`~repro.exec.spec.CellSpec`
+    values, keyed like :data:`GOLDEN_SEED`.
 
     Imports are local: the goldens checker is a CLI leaf and must not
     put engine construction on the import path of ``repro.check`` (the
     linter half of the package is imported by CI before any engine
     exists).
     """
-    from repro.core.engine import SeesawEngine
-    from repro.engines.base import EngineOptions
-    from repro.engines.decode_prioritized import DecodePrioritizedEngine
-    from repro.engines.disaggregated import DisaggregatedEngine, DisaggregationPlan
-    from repro.engines.vllm_like import VllmLikeEngine
-    from repro.hardware.cluster import make_cluster
-    from repro.models.config import ModelConfig
-    from repro.models.registry import get_model
-    from repro.parallel.config import parse_config
-    from repro.workloads.datasets import sharegpt_workload
-    from repro.workloads.synthetic import constant_workload
-
-    tiny = ModelConfig(
-        name="tiny-2b",
-        num_layers=16,
-        hidden_size=2048,
-        num_heads=16,
-        num_kv_heads=4,
-        intermediate_size=5504,
-        vocab_size=32000,
-    )
-    m34 = get_model("34b")
-    a10_4 = make_cluster("A10", 4)
-    a10_8 = make_cluster("A10", 8)
-    const = constant_workload(16, 256, 32)
-    chat = sharegpt_workload(40, seed=7)
-
-    def vllm_plain() -> EngineResult:
-        return VllmLikeEngine(tiny, a10_4, parse_config("T2P2")).run(const)
-
-    def vllm_chunked() -> EngineResult:
-        opts = EngineOptions(chunked_prefill=True, chunk_size=512)
-        return VllmLikeEngine(tiny, a10_4, parse_config("T2P2"), opts).run(chat)
-
-    def vllm_dp() -> EngineResult:
-        return VllmLikeEngine(tiny, a10_4, parse_config("D2T2")).run(chat)
-
-    def decode_prio() -> EngineResult:
-        return DecodePrioritizedEngine(tiny, a10_4, parse_config("T4")).run(chat)
-
-    def seesaw() -> EngineResult:
-        return SeesawEngine(
-            m34, a10_8, parse_config("P8"), parse_config("T4P2")
-        ).run(sharegpt_workload(30, seed=7))
-
-    def disagg() -> EngineResult:
-        plan = DisaggregationPlan(
-            prefill_config=parse_config("T2"), decode_config=parse_config("T2")
-        )
-        return DisaggregatedEngine(tiny, a10_4, plan).run(const)
-
-    return {
-        "vllm_plain": vllm_plain,
-        "vllm_chunked": vllm_chunked,
-        "vllm_dp": vllm_dp,
-        "decode_prio": decode_prio,
-        "seesaw": seesaw,
-        "disagg": disagg,
-    }
-
-
-def golden_cell_specs() -> dict:
-    """The pinned scenarios as :class:`~repro.exec.spec.CellSpec` values,
-    keyed like :data:`GOLDEN_SEED` — the form ``repro check goldens
-    --jobs N`` fans out. Constructions mirror :func:`golden_scenarios`
-    exactly (same models, clusters, workloads, options), so the executor
-    path must reproduce the same pinned literals bit-for-bit."""
     from repro.core.options import SeesawOptions
     from repro.engines.base import EngineOptions
     from repro.exec import CellSpec
@@ -258,30 +195,25 @@ def check_result(name: str, result: EngineResult) -> GoldenOutcome:
 
 def run_goldens(
     names: tuple[str, ...] | None = None,
-    executor=None,
+    executor: CellExecutor | None = None,
 ) -> tuple[GoldenOutcome, ...]:
     """Re-run the pinned cells and compare (all of them by default).
 
-    ``executor`` (a :class:`~repro.exec.CellExecutor`) fans the scenarios
-    over worker processes and/or serves them from the result cache;
-    ``None`` keeps the exact serial direct-construction loop. Both paths
-    are compared against the same pinned literals — the serial-vs-parallel
-    bit-exactness contract is itself golden-tested.
+    ``executor`` (default: an inline :class:`~repro.exec.CellExecutor`)
+    runs the cells, over worker processes and/or from the result cache
+    when it has them; every path is compared against the same pinned
+    literals, so the inline-vs-pooled bit-exactness contract is itself
+    golden-tested.
     """
-    if executor is not None:
-        specs = golden_cell_specs()
-        selected = tuple(sorted(specs)) if names is None else names
-        results = executor.run([specs[name] for name in selected])
-        return tuple(
-            check_result(name, result)
-            for name, result in zip(selected, results, strict=True)
-        )
-    scenarios = golden_scenarios()
-    selected = tuple(sorted(scenarios)) if names is None else names
-    outcomes = []
-    for name in selected:
-        outcomes.append(check_result(name, scenarios[name]()))
-    return tuple(outcomes)
+    from repro.exec import CellExecutor
+
+    specs = golden_cell_specs()
+    selected = tuple(sorted(specs)) if names is None else names
+    results = (executor or CellExecutor()).run(specs[name] for name in selected)
+    return tuple(
+        check_result(name, result)
+        for name, result in zip(selected, results, strict=True)
+    )
 
 
 def render_goldens_table(outcomes: tuple[GoldenOutcome, ...]) -> str:

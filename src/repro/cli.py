@@ -34,14 +34,15 @@ from repro.autotuner.objective import OBJECTIVES, ServingObjective
 from repro.cluster.autoscaler import AUTOSCALER_POLICIES
 from repro.autotuner.search import (
     best_seesaw_pair,
-    best_static_config,
     rank_static_configs,
-    tune_chunk_size,
+    tuned_head_to_head,
 )
 from repro.core.engine import SeesawEngine
+from repro.core.options import SeesawOptions
 from repro.engines.base import EngineOptions
 from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError, ReproError
+from repro.exec import CellExecutor, CellSpec, ResultCache
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
 from repro.parallel.config import parse_config, parse_transition
@@ -254,8 +255,8 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="fan independent simulation cells over N worker processes; "
         "results merge in submission order, so the report is "
-        "byte-identical to --jobs 1 (the default, which keeps the exact "
-        "zero-overhead in-process path)",
+        "byte-identical to --jobs 1 (the default, which runs every cell "
+        "inline in this process with no pool or pickling)",
     )
     parser.add_argument(
         "--cache",
@@ -273,33 +274,26 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_executor(args: argparse.Namespace):
-    """The :class:`~repro.exec.CellExecutor` the exec flags describe, or
-    ``None`` when they ask for the plain in-process path (``--jobs 1``,
-    no cache) — callers keep their exact legacy loops in that case."""
+def _make_executor(args: argparse.Namespace) -> CellExecutor:
+    """The :class:`~repro.exec.CellExecutor` the exec flags describe
+    (inline and uncached by default)."""
     jobs = getattr(args, "jobs", 1)
     want_cache = getattr(args, "cache", False) or getattr(args, "cache_dir", None)
-    if jobs == 1 and not want_cache:
-        return None
-    if getattr(args, "sanitize", False):
+    if (jobs > 1 or want_cache) and getattr(args, "sanitize", False):
         raise ConfigurationError(
             "--sanitize is incompatible with --jobs > 1 / --cache: the "
             "sanitizer is a process-local hook whose checks cannot cross "
             "a worker boundary or be replayed from a cache entry; drop "
             "--sanitize or run with --jobs 1 and no cache"
         )
-    from repro.exec import CellExecutor, ResultCache
-
-    cache = None
-    if want_cache:
-        cache = ResultCache(root=getattr(args, "cache_dir", None))
+    cache = ResultCache(root=getattr(args, "cache_dir", None)) if want_cache else None
     return CellExecutor(jobs=jobs, cache=cache)
 
 
-def _report_cache(executor) -> None:
+def _report_cache(executor: CellExecutor) -> None:
     """One stderr line of cache effectiveness (stderr keeps stdout
     byte-identical with and without a cache)."""
-    if executor is None or executor.cache is None:
+    if executor.cache is None:
         return
     cache = executor.cache
     print(
@@ -711,83 +705,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     workload = _make_workload(args)
     objective = _serving_objective(args, workload)
     executor = _make_executor(args)
-    from repro.core.options import SeesawOptions
-
     slo_opts = {"ttft_slo": args.ttft_slo, "tpot_slo": args.tpot_slo}
-    router_opts = {
-        "router": args.router,
-        "router_seed": args.seed,
-        "coupled": args.coupled,
-        "fidelity": args.fidelity,
-        "autoscaler": args.autoscaler,
-        "min_dp": args.min_dp,
-        "max_dp": args.max_dp,
-        "sanitize": _make_sanitizer(args),
+    options = EngineOptions(
+        router=args.router,
+        router_seed=args.seed,
+        coupled=args.coupled,
+        fidelity=args.fidelity,
+        autoscaler=args.autoscaler,
+        min_dp=args.min_dp,
+        max_dp=args.max_dp,
+        sanitize=_make_sanitizer(args),
         **slo_opts,
-    }
-    static_cfg = best_static_config(
-        model,
-        cluster,
-        workload,
-        simulate_top=3,
-        options=EngineOptions(**router_opts),
-        objective=objective,
-        executor=executor,
     )
-    chunk = tune_chunk_size(model, cluster, static_cfg, workload, executor=executor)
-    chunked_opts = EngineOptions(
-        chunked_prefill=True, chunk_size=chunk, **router_opts
+    vllm, seesaw = tuned_head_to_head(
+        model, cluster, workload, options=options, objective=objective,
+        seed=args.seed, executor=executor,
     )
-    plain_opts = EngineOptions(**router_opts)
-    seesaw_run_opts = SeesawOptions(
-        **router_opts, arrival_rate=objective.arrival_rate_hint
-    )
-    cp, cd = best_seesaw_pair(
-        model,
-        cluster,
-        workload,
-        simulate_top=3,
-        options=seesaw_run_opts,
-        objective=objective,
-        executor=executor,
-    )
-    if executor is not None:
-        # The three headline runs are independent cells: batch them into
-        # one fan-out (results come back in submission order).
-        from repro.exec import CellSpec
-
-        vllm, vllm_plain, seesaw = executor.run(
-            [
-                CellSpec(
-                    engine="vllm", model=model, cluster=cluster,
-                    config=static_cfg.label(), options=chunked_opts,
-                    workload=workload, seed=args.seed,
-                ),
-                CellSpec(
-                    engine="vllm", model=model, cluster=cluster,
-                    config=static_cfg.label(), options=plain_opts,
-                    workload=workload, seed=args.seed,
-                ),
-                CellSpec(
-                    engine="seesaw", model=model, cluster=cluster,
-                    config=f"{cp.label()}->{cd.label()}",
-                    options=seesaw_run_opts, workload=workload,
-                    seed=args.seed,
-                ),
-            ]
-        )
-    else:
-        vllm = VllmLikeEngine(model, cluster, static_cfg, chunked_opts).run(
-            workload
-        )
-        vllm_plain = VllmLikeEngine(model, cluster, static_cfg, plain_opts).run(
-            workload
-        )
-        seesaw = SeesawEngine(model, cluster, cp, cd, seesaw_run_opts).run(workload)
-    # The chunked-vs-plain pick honors the objective too: under slo, a
-    # faster run that misses the SLOs must not displace a compliant one.
-    if objective.result_key(vllm_plain) > objective.result_key(vllm):
-        vllm = vllm_plain
     results = {f"vllm {vllm.label}": vllm, f"seesaw {seesaw.label}": seesaw}
     print(
         comparison_table(
@@ -826,8 +759,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     workload = _make_workload(args)
     objective = _serving_objective(args, workload)
     executor = _make_executor(args)
-    from repro.core.options import SeesawOptions
-
     results: dict[str, EngineResult] = {}
     slo_opts = {"ttft_slo": args.ttft_slo, "tpot_slo": args.tpot_slo}
     fleet_opts = {
@@ -845,25 +776,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ranked_configs = rank_static_configs(
         model, cluster, workload, objective=objective
     )
-    if executor is not None:
-        from repro.exec import CellSpec
 
-        static_specs = [
-            CellSpec(
-                engine="vllm", model=model, cluster=cluster,
-                config=ranked.config.label(), options=opts,
-                workload=workload, seed=args.seed,
-            )
-            for ranked in ranked_configs
-        ]
-        for ranked, run in zip(
-            ranked_configs, executor.run(static_specs), strict=True
-        ):
-            results[ranked.config.label()] = run
-    else:
-        for ranked in ranked_configs:
-            engine = VllmLikeEngine(model, cluster, ranked.config, opts)
-            results[ranked.config.label()] = engine.run(workload)
+    def cell(engine: str, config: str, options: EngineOptions) -> CellSpec:
+        return CellSpec(
+            engine=engine, model=model, cluster=cluster, config=config,
+            options=options, workload=workload, seed=args.seed,
+        )
+
+    static_runs = executor.run(
+        cell("vllm", ranked.config.label(), opts) for ranked in ranked_configs
+    )
+    for ranked, run in zip(ranked_configs, static_runs, strict=True):
+        results[ranked.config.label()] = run
     seesaw_opts = SeesawOptions(
         router=args.router,
         router_seed=args.seed,
@@ -878,20 +802,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         model, cluster, workload, simulate_top=3,
         options=seesaw_opts, objective=objective, executor=executor,
     )
-    if executor is not None:
-        from repro.exec import CellSpec
-
-        (seesaw,) = executor.run(
-            [
-                CellSpec(
-                    engine="seesaw", model=model, cluster=cluster,
-                    config=f"{cp.label()}->{cd.label()}", options=seesaw_opts,
-                    workload=workload, seed=args.seed,
-                )
-            ]
-        )
-    else:
-        seesaw = SeesawEngine(model, cluster, cp, cd, seesaw_opts).run(workload)
+    (seesaw,) = executor.run(
+        [cell("seesaw", f"{cp.label()}->{cd.label()}", seesaw_opts)]
+    )
     results[f"seesaw {seesaw.label}"] = seesaw
     # The baseline pick honors the objective: under slo, normalizing
     # against a 0%-attainment config would misstate every speedup.
@@ -1025,9 +938,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         "fig2": lambda: ex.render_fig2(ex.run_fig2(num_requests=300)),
         "fig4": lambda: ex.render_fig4(ex.run_fig4(num_requests=200)),
         "fig9": lambda: ex.render_fig9(ex.run_fig9()),
-        "fig10": lambda: ex.render_fig10(ex.run_fig10()),
+        "fig10": lambda: ex.render_fig10(ex.run_fig10(executor=executor)),
         "fig11": lambda: ex.render_fig11(
-            ex.run_fig11(num_arxiv=60, num_sharegpt=150)
+            ex.run_fig11(num_arxiv=60, num_sharegpt=150, executor=executor)
         ),
         "fig12": lambda: ex.render_fig12(ex.run_fig12(num_requests=100)),
         "fig13": lambda: ex.render_fig13(ex.run_fig13(num_requests=32)),

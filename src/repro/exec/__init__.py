@@ -1,8 +1,8 @@
 """Parallel cell execution and the content-addressed result cache.
 
-``CellSpec`` describes one independent simulation as a pure, picklable
-value; ``CellExecutor`` fans specs over worker processes with results
-merged in submission order (bit-identical to a serial run); and
+``CellSpec`` describes one independent simulation as a picklable value;
+``CellExecutor`` runs specs inline or fans them over worker processes,
+with results merged in submission order (bit-identical either way); and
 ``ResultCache`` memoizes results on disk keyed by the spec's canonical
 form plus a code-version salt. See each module's docstring for the
 contracts.

@@ -4,14 +4,19 @@
 and returns their :class:`~repro.runtime.metrics.EngineResult` in
 **submission order**, regardless of worker count:
 
-- ``jobs=1`` executes inline, sequentially, in this process — the exact
-  code path a bare ``engine.run(workload)`` loop takes, with no pool, no
-  pickling, and no serialization overhead (the zero-overhead contract);
+- ``jobs=1`` (the default) executes inline, sequentially, in this
+  process: each cell is ``spec.execute()``, with no pool, no pickling,
+  and no serialization overhead. Every multi-run caller in the package
+  uses this as its default, so there is one way to simulate a cell;
 - ``jobs=N`` fans the cells over a ``ProcessPoolExecutor`` and collects
-  results positionally. Each cell is a pure function of its spec (the
-  spec layer rejects process-local hooks and derives any child seeds via
-  ``spawn_rng`` from the cell's own identity), so the merged output is
-  bit-identical to the serial run.
+  results positionally. Each cell is a pure function of its spec (child
+  seeds are derived via ``spawn_rng`` from the cell's own identity), so
+  the merged output is bit-identical to the inline run.
+
+Process-local hooks (telemetry hub, tracer, sanitizer, schedule trace)
+observe the run in the process that executes it. A pool or a cache
+would lose them silently, so a hooked spec is refused when ``jobs > 1``
+or a cache is attached; inline and uncached, it simply runs.
 
 A cache (:class:`~repro.exec.cache.ResultCache`) short-circuits cells
 before any fan-out; only misses are simulated, and fresh results are
@@ -25,7 +30,6 @@ from __future__ import annotations
 
 import resource
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -88,8 +92,8 @@ def _run_cell_worker(spec: CellSpec) -> tuple:
 
 
 class CellExecutor:
-    """Runs cells inline (``jobs=1``) or across a process pool, with an
-    optional content-addressed result cache in front."""
+    """Runs cells inline (``jobs=1``, the default) or across a process
+    pool, with an optional content-addressed result cache in front."""
 
     def __init__(self, jobs: int = 1, cache: ResultCache | None = None) -> None:
         if jobs < 1:
@@ -103,6 +107,15 @@ class CellExecutor:
 
     def run_outcomes(self, specs: Iterable[CellSpec]) -> list[CellOutcome]:
         specs = list(specs)
+        if self.jobs > 1 or self.cache is not None:
+            for spec in specs:
+                if spec.hooks:
+                    raise ConfigurationError(
+                        f"cell specs must be pure values: options."
+                        f"{spec.hooks[0]} is a process-local hook that cannot "
+                        "cross a worker boundary or be replayed from a cache "
+                        "entry — run hooked cells inline (--jobs 1, no --cache)"
+                    )
         outcomes: list[CellOutcome | None] = [None] * len(specs)
         misses: list[int] = []
         for i, spec in enumerate(specs):
@@ -134,6 +147,10 @@ class CellExecutor:
         misses: Sequence[int],
         outcomes: list[CellOutcome | None],
     ) -> None:
+        # Imported here: multiprocessing is a heavy import that every
+        # inline caller (the package default) would otherwise pay.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(self.jobs, len(misses))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell_worker, specs[i]) for i in misses]

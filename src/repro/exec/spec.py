@@ -8,11 +8,14 @@ a worker process and serialize canonically into a cache key.
 
 Two constraints shape the design:
 
-- **Purity.** A spec must be a pure value: the process-local hooks an
+- **Hooks are not identity.** The process-local hooks an
   :class:`~repro.engines.base.EngineOptions` can carry (telemetry hub,
-  tracer, sanitizer, schedule trace) are rejected at construction — they
-  observe one process's run and cannot be merged back from a worker, let
-  alone replayed from a cache entry.
+  tracer, sanitizer, schedule trace) observe one process's run; they do
+  not change what it computes. A hooked spec runs inline like any other,
+  and its hooks are canonicalized at their unhooked defaults, so they
+  never change its key or its derived seeds. They cannot be merged back
+  from a worker or replayed from a cache entry, so the executor refuses
+  hooked specs when it has a pool or a cache (:attr:`CellSpec.hooks`).
 - **Canonical form.** ``canonical_json()`` walks the nested frozen
   dataclasses into sorted-key JSON with enums by name and arrival times
   in ``float.hex()`` (decimal round-tripping would alias distinct
@@ -39,6 +42,9 @@ from repro.workloads.spec import WorkloadSpec
 
 #: Engine kinds a spec can name, mapped from the engines' ``name`` attrs.
 ENGINE_KINDS = ("vllm", "decode-prio", "seesaw", "disagg")
+
+#: Process-local hook fields of EngineOptions and their unhooked values.
+HOOK_DEFAULTS = {"telemetry": None, "tracing": None, "sanitize": None, "trace": False}
 
 
 def _canonical_value(value: object) -> object:
@@ -95,9 +101,10 @@ class CellSpec:
         config: Parallelism label — a static label (``"T4P2"``) for
             vllm/decode-prio, a transition (``"P8->T4P2"``) for seesaw,
             or ``"<prefill>|<decode>"`` (``"T2|T2"``) for disagg.
-        options: Scheduler options. Must carry no process-local hooks
-            (telemetry/tracing/sanitize/trace); seesaw cells must pass a
-            :class:`~repro.core.options.SeesawOptions`.
+        options: Scheduler options; seesaw cells must pass a
+            :class:`~repro.core.options.SeesawOptions`. Process-local
+            hooks (telemetry/tracing/sanitize/trace) are allowed but
+            confine the cell to an inline, uncached executor.
         workload: Inline workload (arrival stamps included).
         seed: Cell seed. Feeds :func:`~repro.utils.rng.spawn_rng` child
             derivation for stochastic knobs left unseeded (po2 routing),
@@ -117,19 +124,6 @@ class CellSpec:
         if self.engine not in ENGINE_KINDS:
             raise ConfigurationError(
                 f"unknown engine kind {self.engine!r}; one of {ENGINE_KINDS}"
-            )
-        for hook in ("telemetry", "tracing", "sanitize"):
-            if getattr(self.options, hook) is not None:
-                raise ConfigurationError(
-                    f"cell specs must be pure values: options.{hook} is a "
-                    "process-local hook that cannot cross a worker boundary "
-                    "or be replayed from a cache entry — run hooked cells "
-                    "inline (--jobs 1, no --cache)"
-                )
-        if self.options.trace:
-            raise ConfigurationError(
-                "cell specs must be pure values: options.trace records a "
-                "process-local schedule timeline — run traced cells inline"
             )
         if self.engine == "seesaw":
             if "->" not in self.config:
@@ -156,6 +150,15 @@ class CellSpec:
                 f"{self.config!r}"
             )
 
+    @property
+    def hooks(self) -> tuple[str, ...]:
+        """The process-local hook fields this spec's options set."""
+        return tuple(
+            name
+            for name, default in HOOK_DEFAULTS.items()
+            if getattr(self.options, name) is not default
+        )
+
     # ------------------------------------------------------------------ #
     # Canonical serialization
     # ------------------------------------------------------------------ #
@@ -171,7 +174,7 @@ class CellSpec:
                 # Class name disambiguates EngineOptions vs SeesawOptions
                 # (a SeesawOptions carries extra transition knobs).
                 "class": type(self.options).__name__,
-                **_canonical_value(self.options),
+                **_canonical_value(replace(self.options, **HOOK_DEFAULTS)),
             },
             "workload": _workload_digest(self.workload),
             "seed": self.seed,

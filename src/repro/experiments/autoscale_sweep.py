@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 
 from repro.engines.base import EngineOptions
-from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError
+from repro.exec import CellExecutor, CellSpec
 from repro.hardware.cluster import ClusterSpec, make_cluster
 from repro.models.config import ModelConfig
 from repro.models.registry import get_model
@@ -119,7 +119,7 @@ def run_autoscale_sweep(
     prompt_len: int = 2048,
     output_len: int = 128,
     seed: int = 0,
-    executor=None,
+    executor: CellExecutor | None = None,
 ) -> AutoscaleSweepResult:
     """Serve one diurnal workload with a static peak fleet and each
     autoscaler.
@@ -131,8 +131,9 @@ def run_autoscale_sweep(
     the fleet — the regime where elasticity pays. ``num_requests``
     defaults to whatever spans ``periods`` day-curve cycles; the period
     is derived, keeping run length stable across models. ``executor``
-    fans the capacity probe and the fleet runs over worker processes and
-    the result cache; results are bit-identical either way.
+    (default: an inline :class:`~repro.exec.CellExecutor`) runs the
+    capacity probe and the fleet runs; its worker count and cache never
+    change the results.
     """
     model = model or get_model("15b")
     cluster = cluster or make_cluster("A10", 8)
@@ -147,26 +148,17 @@ def run_autoscale_sweep(
             f"cluster has {cluster.num_gpus}"
         )
 
+    executor = executor or CellExecutor()
+
+    def cell(cfg, opts: EngineOptions, wl) -> CellSpec:
+        return CellSpec(
+            engine="vllm", model=model, cluster=cluster,
+            config=cfg.label(), options=opts, workload=wl, seed=seed,
+        )
+
     probe = constant_workload(24, prompt_len, output_len)
-    if executor is not None:
-        from repro.exec import CellSpec
-
-        def cell(cfg, opts: EngineOptions, wl) -> CellSpec:
-            return CellSpec(
-                engine="vllm", model=model, cluster=cluster,
-                config=cfg.label(), options=opts, workload=wl, seed=seed,
-            )
-
-        (probe_res,) = executor.run(
-            [cell(replica_config, EngineOptions(), probe)]
-        )
-        capacity = probe_res.throughput_rps
-    else:
-        capacity = (
-            VllmLikeEngine(model, cluster, replica_config)
-            .run(probe)
-            .throughput_rps
-        )
+    (probe_res,) = executor.run([cell(replica_config, EngineOptions(), probe)])
+    capacity = probe_res.throughput_rps
     mean_rate = load_fraction * max_dp * capacity
     if num_requests is None:
         num_requests = max(48, int(periods * 120))
@@ -187,42 +179,14 @@ def run_autoscale_sweep(
         )
         for policy in autoscalers
     ]
-    if executor is not None:
-        fleet_results = executor.run(
-            [cell(peak_config, peak_opts, workload)]
-            + [cell(replica_config, opts, workload) for opts in elastic_opts]
-        )
-        points = [
-            AutoscalePoint(autoscaler=name, result=result)
-            for name, result in zip(
-                ("none", *autoscalers), fleet_results, strict=True
-            )
-        ]
-        return AutoscaleSweepResult(
-            capacity_rps_per_replica=capacity,
-            mean_rate_rps=mean_rate,
-            period_s=period_s,
-            ttft_slo=ttft_slo,
-            max_dp=max_dp,
-            points=tuple(points),
-        )
+    fleet_results = executor.run(
+        [cell(peak_config, peak_opts, workload)]
+        + [cell(replica_config, opts, workload) for opts in elastic_opts]
+    )
     points = [
-        AutoscalePoint(
-            autoscaler="none",
-            result=VllmLikeEngine(
-                model, cluster, peak_config, peak_opts
-            ).run(workload),
-        )
+        AutoscalePoint(autoscaler=name, result=result)
+        for name, result in zip(("none", *autoscalers), fleet_results, strict=True)
     ]
-    for policy, options in zip(autoscalers, elastic_opts, strict=True):
-        points.append(
-            AutoscalePoint(
-                autoscaler=policy,
-                result=VllmLikeEngine(
-                    model, cluster, replica_config, options
-                ).run(workload),
-            )
-        )
     return AutoscaleSweepResult(
         capacity_rps_per_replica=capacity,
         mean_rate_rps=mean_rate,

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from repro.analysis.report import router_observability_cells
 from repro.engines.base import EngineOptions
-from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError
+from repro.exec import CellExecutor, CellSpec
 from repro.hardware.cluster import ClusterSpec, make_cluster
 from repro.models.config import ModelConfig
 from repro.models.registry import get_model
@@ -113,15 +113,15 @@ def run_coupled_sweep(
     ttft_slo: float = DEFAULT_TTFT_SLO,
     num_requests: int = 40,
     seed: int = 0,
-    executor=None,
+    executor: CellExecutor | None = None,
 ) -> CoupledSweepResult:
     """Serve one bursty workload under every (load, policy, mode) cell.
 
     ``load_fractions`` are multiples of the configuration's own measured
     offline throughput, bracketing the saturation knee regardless of
-    model/cluster scale. ``executor`` fans the capacity probe and the
-    sweep cells over worker processes and the result cache; results are
-    bit-identical either way.
+    model/cluster scale. ``executor`` (default: an inline
+    :class:`~repro.exec.CellExecutor`) runs the capacity probe and the
+    sweep cells; its worker count and cache never change the results.
     """
     model = model or get_model("13b")
     cluster = cluster or make_cluster("A10", 8)
@@ -131,85 +131,51 @@ def run_coupled_sweep(
     )
     if config.dp < 2:
         raise ConfigurationError("coupled sweep needs a data-parallel config")
-    if executor is not None:
-        from repro.exec import CellSpec
+    executor = executor or CellExecutor()
 
-        def cell(opts: EngineOptions, wl) -> CellSpec:
-            return CellSpec(
-                engine="vllm", model=model, cluster=cluster,
-                config=config.label(), options=opts, workload=wl, seed=seed,
-            )
+    def cell(opts: EngineOptions, wl) -> CellSpec:
+        return CellSpec(
+            engine="vllm", model=model, cluster=cluster,
+            config=config.label(), options=opts, workload=wl, seed=seed,
+        )
 
-        (offline,) = executor.run([cell(EngineOptions(), workload)])
-        capacity = offline.throughput_rps
-        cells = [
-            (frac, frac * capacity, policy, coupled, online)
-            for frac in load_fractions
-            for online in (
-                bursty_arrivals(
-                    workload, frac * capacity, burstiness=burstiness, seed=seed
-                ),
-            )
-            for policy in policies
-            for coupled in (False, True)
-        ]
-        results = executor.run(
-            cell(
-                EngineOptions(
-                    router=policy,
-                    router_seed=seed,
-                    ttft_slo=ttft_slo,
-                    coupled=coupled,
-                ),
-                online,
-            )
-            for _, _, policy, coupled, online in cells
-        )
-        points = [
-            CoupledSweepPoint(
-                rate_rps=rate,
-                load_fraction=frac,
-                policy=policy,
-                coupled=coupled,
-                result=result,
-            )
-            for (frac, rate, policy, coupled, _), result in zip(
-                cells, results, strict=True
-            )
-        ]
-        return CoupledSweepResult(
-            capacity_rps=capacity,
-            burstiness=burstiness,
-            ttft_slo=ttft_slo,
-            points=tuple(points),
-        )
-    offline = VllmLikeEngine(model, cluster, config).run(workload)
+    (offline,) = executor.run([cell(EngineOptions(), workload)])
     capacity = offline.throughput_rps
-
-    points = []
-    for frac in load_fractions:
-        rate = frac * capacity
-        online = bursty_arrivals(
-            workload, rate, burstiness=burstiness, seed=seed
+    cells = [
+        (frac, frac * capacity, policy, coupled, online)
+        for frac in load_fractions
+        for online in (
+            bursty_arrivals(
+                workload, frac * capacity, burstiness=burstiness, seed=seed
+            ),
         )
-        for policy in policies:
-            for coupled in (False, True):
-                opts = EngineOptions(
-                    router=policy,
-                    router_seed=seed,
-                    ttft_slo=ttft_slo,
-                    coupled=coupled,
-                )
-                result = VllmLikeEngine(model, cluster, config, opts).run(online)
-                points.append(
-                    CoupledSweepPoint(
-                        rate_rps=rate,
-                        load_fraction=frac,
-                        policy=policy,
-                        coupled=coupled,
-                        result=result,
-                    )
-                )
+        for policy in policies
+        for coupled in (False, True)
+    ]
+    results = executor.run(
+        cell(
+            EngineOptions(
+                router=policy,
+                router_seed=seed,
+                ttft_slo=ttft_slo,
+                coupled=coupled,
+            ),
+            online,
+        )
+        for _, _, policy, coupled, online in cells
+    )
+    points = [
+        CoupledSweepPoint(
+            rate_rps=rate,
+            load_fraction=frac,
+            policy=policy,
+            coupled=coupled,
+            result=result,
+        )
+        for (frac, rate, policy, coupled, _), result in zip(
+            cells, results, strict=True
+        )
+    ]
     return CoupledSweepResult(
         capacity_rps=capacity,
         burstiness=burstiness,

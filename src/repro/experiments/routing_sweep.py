@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engines.base import EngineOptions
-from repro.engines.vllm_like import VllmLikeEngine
 from repro.errors import ConfigurationError
+from repro.exec import CellExecutor, CellSpec
 from repro.hardware.cluster import ClusterSpec, make_cluster
 from repro.models.config import ModelConfig
 from repro.models.registry import get_model
@@ -77,15 +77,16 @@ def run_routing_sweep(
     burstiness: float = 8.0,
     num_requests: int = 48,
     seed: int = 0,
-    executor=None,
+    executor: CellExecutor | None = None,
 ) -> RoutingSweepResult:
     """Serve one workload under every (arrival process, policy) pair.
 
     ``rate_rps=None`` drives the cluster at its own offline throughput —
     the knee of the load-latency curve, where dispatch quality matters —
     measured with one untimed offline run of the same configuration.
-    ``executor`` fans the capacity probe and the sweep cells over worker
-    processes and the result cache; results are bit-identical either way.
+    ``executor`` (default: an inline :class:`~repro.exec.CellExecutor`)
+    runs the capacity probe and the sweep cells; its worker count and
+    cache never change the results.
     """
     model = model or get_model("13b")
     cluster = cluster or make_cluster("A10", 8)
@@ -93,53 +94,35 @@ def run_routing_sweep(
     workload = workload or bimodal_workload(num_requests)
     if config.dp < 2:
         raise ConfigurationError("routing sweep needs a data-parallel config")
-    if executor is not None:
-        from repro.exec import CellSpec
+    executor = executor or CellExecutor()
 
-        def cell(opts: EngineOptions, wl) -> CellSpec:
-            return CellSpec(
-                engine="vllm", model=model, cluster=cluster,
-                config=config.label(), options=opts, workload=wl, seed=seed,
-            )
+    def cell(opts: EngineOptions, wl) -> CellSpec:
+        return CellSpec(
+            engine="vllm", model=model, cluster=cluster,
+            config=config.label(), options=opts, workload=wl, seed=seed,
+        )
 
-        if rate_rps is None:
-            (offline,) = executor.run([cell(EngineOptions(), workload)])
-            rate_rps = offline.throughput_rps
-        cells = [
-            (arrival, policy, online)
-            for arrival in ARRIVALS
-            for online in (
-                make_arrivals(
-                    workload, arrival, rate_rps, burstiness=burstiness, seed=seed
-                ),
-            )
-            for policy in policies
-        ]
-        results = executor.run(
-            cell(EngineOptions(router=policy, router_seed=seed), online)
-            for _, policy, online in cells
-        )
-        points = [
-            RoutingSweepPoint(arrival=arrival, policy=policy, result=result)
-            for (arrival, policy, _), result in zip(cells, results, strict=True)
-        ]
-        return RoutingSweepResult(
-            rate_rps=rate_rps, burstiness=burstiness, points=tuple(points)
-        )
     if rate_rps is None:
-        offline = VllmLikeEngine(model, cluster, config).run(workload)
+        (offline,) = executor.run([cell(EngineOptions(), workload)])
         rate_rps = offline.throughput_rps
-    points = []
-    for arrival in ARRIVALS:
-        online = make_arrivals(
-            workload, arrival, rate_rps, burstiness=burstiness, seed=seed
+    cells = [
+        (arrival, policy, online)
+        for arrival in ARRIVALS
+        for online in (
+            make_arrivals(
+                workload, arrival, rate_rps, burstiness=burstiness, seed=seed
+            ),
         )
-        for policy in policies:
-            opts = EngineOptions(router=policy, router_seed=seed)
-            result = VllmLikeEngine(model, cluster, config, opts).run(online)
-            points.append(
-                RoutingSweepPoint(arrival=arrival, policy=policy, result=result)
-            )
+        for policy in policies
+    ]
+    results = executor.run(
+        cell(EngineOptions(router=policy, router_seed=seed), online)
+        for _, policy, online in cells
+    )
+    points = [
+        RoutingSweepPoint(arrival=arrival, policy=policy, result=result)
+        for (arrival, policy, _), result in zip(cells, results, strict=True)
+    ]
     return RoutingSweepResult(
         rate_rps=rate_rps, burstiness=burstiness, points=tuple(points)
     )

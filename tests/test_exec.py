@@ -47,16 +47,64 @@ class _FakeTracer:
 
 
 class TestCellSpec:
-    def test_rejects_process_local_hooks(self, tiny_model, cluster_a10_4):
+    def test_rejects_process_local_hooks(
+        self, tiny_model, cluster_a10_4, tmp_path
+    ):
+        """Hooked specs construct; the executor refuses them at the pool
+        and cache boundary, before any cell runs."""
         hooked = [
             EngineOptions(telemetry=_FakeHub()),
             EngineOptions(tracing=_FakeTracer()),
             EngineOptions(sanitize=Sanitizer(), coupled=True),
             EngineOptions(trace=True),
         ]
+        cache = ResultCache(tmp_path / "cache")
         for options in hooked:
-            with pytest.raises(ConfigurationError, match="pure values"):
-                _spec(tiny_model, cluster_a10_4, options=options)
+            spec = _spec(tiny_model, cluster_a10_4, options=options)
+            assert len(spec.hooks) == 1
+            for executor in (CellExecutor(jobs=2), CellExecutor(cache=cache)):
+                with pytest.raises(ConfigurationError, match="pure values"):
+                    executor.run([spec])
+        assert cache.misses == 0 and not list((tmp_path / "cache").rglob("*.pkl"))
+
+    def test_hooks_leave_identity_unchanged(self, tiny_model, cluster_a10_4):
+        """A hook never changes a spec's key or its derived po2 seed."""
+        plain = _spec(
+            tiny_model, cluster_a10_4, config="D2T2",
+            options=EngineOptions(router="po2", coupled=True), seed=5,
+        )
+        for hook in (
+            {"telemetry": _FakeHub()},
+            {"tracing": _FakeTracer()},
+            {"sanitize": Sanitizer()},
+            {"trace": True},
+        ):
+            hooked = _spec(
+                tiny_model, cluster_a10_4, config="D2T2",
+                options=EngineOptions(router="po2", coupled=True, **hook), seed=5,
+            )
+            assert hooked.cell_key == plain.cell_key
+            assert (
+                hooked._resolved_options().router_seed
+                == plain._resolved_options().router_seed
+            )
+
+    def test_inline_executor_runs_hooked_cells(self, tiny_model, cluster_a10_4):
+        wl = poisson_arrivals(constant_workload(12, 256, 16), 4.0, seed=0)
+        opts = dict(router="jsq", router_seed=0, coupled=True)
+        plain = _spec(
+            tiny_model, cluster_a10_4, config="D2T2",
+            options=EngineOptions(**opts), workload=wl,
+        )
+        sanitizer = Sanitizer()
+        hooked = _spec(
+            tiny_model, cluster_a10_4, config="D2T2",
+            options=EngineOptions(sanitize=sanitizer, **opts), workload=wl,
+        )
+        (a,) = CellExecutor().run([plain])
+        (b,) = CellExecutor().run([hooked])
+        assert a == b
+        assert sum(sanitizer.checks.values()) > 0
 
     def test_rejects_unknown_engine(self, tiny_model, cluster_a10_4):
         with pytest.raises(ConfigurationError, match="unknown engine kind"):

@@ -765,9 +765,9 @@ class TestGoldensChecker:
     def test_mismatch_reports_detail(self):
         from dataclasses import replace
 
-        from repro.check.goldens import check_result, golden_scenarios
+        from repro.check.goldens import check_result, golden_cell_specs
 
-        result = golden_scenarios()["vllm_plain"]()
+        result = golden_cell_specs()["vllm_plain"].execute()
         broken = replace(result, total_time=result.total_time * 1.5)
         outcome = check_result("vllm_plain", broken)
         assert not outcome.passed
