@@ -131,8 +131,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="coupled-simulation fidelity: event (default) replays every "
         "iteration on the shared clock; fluid solves a calibrated "
         "mean-field model per dispatch (~100x faster, p99-TTFT within "
-        "the calibrated tolerance, no preemption storms); auto picks "
-        "fluid above a work-volume threshold",
+        "the calibrated tolerance, no preemption storms; vllm-like "
+        "engines only); auto picks fluid above a work-volume threshold "
+        "where it is calibrated, event otherwise",
     )
     parser.add_argument(
         "--min-dp",
@@ -226,7 +227,7 @@ def _add_tracing_flags(parser: argparse.ArgumentParser) -> None:
         help="record per-request span trees with critical-path latency "
         "attribution on the virtual clock; MODE selects which requests "
         "keep a trace: all | slo_miss (only SLO violators; needs "
-        "--ttft-slo and/or --tpot-slo) | p99_exemplars (the worst 1% by "
+        "--ttft-slo and/or --tpot-slo) | p99_exemplars (the worst 1%% by "
         "e2e) | rate:<f> (deterministic f-fraction sample). Off by "
         "default — the instrumented loops stay bit-exact without it",
     )

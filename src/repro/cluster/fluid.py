@@ -173,6 +173,11 @@ class FluidSimulator:
     """Mean-field co-simulation of a replica fleet, one event per arrival."""
 
     def __init__(self, engine: "BaseEngine", requests: TypingSequence[Request]) -> None:
+        if not engine.fluid_calibrated:
+            raise ConfigurationError(
+                f"the fluid fidelity models only vllm-like replicas, not "
+                f"{engine.name!r}; use fidelity event (or auto)"
+            )
         self.engine = engine
         self.requests = list(requests)
         if not self.requests:

@@ -25,11 +25,12 @@ without modification.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections import deque
 from typing import TYPE_CHECKING
 
+from repro.errors import SimulationError
 from repro.routing.load import RouterContext, _duration
-from repro.runtime.request import Request
+from repro.runtime.request import Request, SequenceState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import BaseEngine
@@ -73,14 +74,17 @@ class ReplicaSim:
         self.preemption_snapshot = 0
         self.peak_queued_prefill_tokens = 0.0
         self.redispatched_in = 0
-        # Queued-prefill cache, keyed on the state's prefill epoch: the
-        # unstarted-prompt token sum plus the completed-but-in-flight
-        # prefills as (end_time, suffix-token-sum) arrays, so a dispatch
-        # probe is a bisect instead of a walk over every live sequence.
+        # Queued-prefill view. The unstarted-prompt sum over the queues is
+        # cached per prefill epoch; prefills still in flight at a probe
+        # instant come from the state's completion log, which a probe
+        # walks back from its newest entry only while the completion lies
+        # past the probe instant, and trims as the cluster clock moves on
+        # — so a probe costs O(recent prefills), not O(live set).
         self._agg_epoch = -1
         self._agg_unstarted = 0
-        self._agg_ends: list[float] = []
-        self._agg_suffix: list[int] = [0]
+        self.run.state.completions = deque()
+        self._probed_at = -math.inf
+        self._trimmed_to = -math.inf
 
     # ------------------------------------------------------------------ #
     # Event interface
@@ -159,54 +163,73 @@ class ReplicaSim:
         after ``now`` is still in flight from the dispatcher's viewpoint
         and counts at its full prefill size (the honest observation — the
         router cannot see inside a forward pass).
-        """
-        now = self.clock if now is None else now
-        self._refresh_prefill_cache()
-        idx = bisect_right(self._agg_ends, now + _EPS)
-        return float(self._agg_unstarted + self._agg_suffix[idx])
 
-    def _refresh_prefill_cache(self) -> None:
-        """Rebuild the queued-prefill aggregates when the replica's prefill
-        epoch moved (queue membership, prefill progress or running-set
-        churn since the last probe); pure decode iterations leave the
-        epoch alone, so steady-state probes cost one bisect."""
-        state = self.run.state
-        if state.prefill_epoch == self._agg_epoch:
-            return
-        self._agg_epoch = state.prefill_epoch
-        # Unstarted work is only what sits in the queues: a sequence whose
-        # prefill was rebuilt after a recompute preemption keeps a target
-        # above its prompt length (it reads as never-complete), but once
-        # running again it owes the dispatcher nothing.
-        # Inlined Sequence property bodies: this rebuild runs once per
-        # (epoch bump x probe) and the attribute reads dominate it.
-        unstarted = 0
-        for s in state.pending:
-            left = s.prefill_target - s.prefilled_tokens
-            if left > 0:
-                unstarted += left
-        for s in state.waiting:
-            left = s.prefill_target - s.prefilled_tokens
-            if left > 0:
-                unstarted += left
-        self._agg_unstarted = unstarted
-        pairs = []
-        for s in state.live_sequences():
-            if s.prefilled_tokens >= s.prefill_target:
-                end = s.prefill_end_time
-                if end == end:  # NaN = never scheduled with a known end
-                    pairs.append((end, s.prefill_target))
-        pairs.sort()
-        ends = [p[0] for p in pairs]
-        suffix = [0] * (len(pairs) + 1)
-        for i in range(len(pairs) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + pairs[i][1]
-        self._agg_ends = ends
-        self._agg_suffix = suffix
+        An explicit ``now`` comes from the cluster loop, which probes each
+        arrival instant in order but samples telemetry at grid boundaries
+        between the previous arrival and this one (after the autoscaler
+        probed this one). A probe therefore never precedes this replica's
+        *previous* probe instant, and completions at or before that
+        instant can never count again: they are trimmed from the log.
+        ``None`` probes at this replica's own clock, past every logged
+        completion, and trims nothing.
+        """
+        log = self.run.state.completions
+        if now is None:
+            now = self.clock
+        else:
+            # Boundaries may sit up to _EPS past the instant probed next;
+            # a completion trimmed there never counts here either.
+            if now + _EPS < self._trimmed_to:
+                raise SimulationError(
+                    f"replica {self.replica_id}: observed-load probe at "
+                    f"{now} precedes the trimmed log horizon {self._trimmed_to}"
+                )
+            if now > self._probed_at:
+                self._trimmed_to = self._probed_at
+                self._probed_at = now
+                while log and log[0][0] <= self._trimmed_to:
+                    log.popleft()
+        horizon = now + _EPS
+        inflight = 0
+        for end, s in reversed(log):
+            if end <= horizon:
+                break
+            # Only the latest completion of a still-complete, unfinished
+            # prefill: a recompute preemption re-targets the sequence
+            # (and a re-prefill logs it again).
+            if (
+                s.prefill_end_time == end
+                and s.prefilled_tokens >= s.prefill_target
+                and s.state is not SequenceState.FINISHED
+            ):
+                inflight += s.prefill_target
+        return float(self.unstarted_prefill_tokens() + inflight)
 
     def unstarted_prefill_tokens(self) -> int:
-        """Prompt tokens the scheduler has not pulled into any pass yet."""
-        self._refresh_prefill_cache()
+        """Prompt tokens the scheduler has not pulled into any pass yet.
+
+        Cached per prefill epoch (queue membership, prefill progress or
+        running-set churn since the last probe). Unstarted work is only
+        what sits in the queues: a sequence whose prefill was rebuilt
+        after a recompute preemption keeps a target above its prompt
+        length (it reads as never-complete), but once running again it
+        owes the dispatcher nothing.
+        """
+        state = self.run.state
+        if state.prefill_epoch != self._agg_epoch:
+            self._agg_epoch = state.prefill_epoch
+            # Inlined Sequence.remaining_prefill: the attribute reads
+            # dominate this walk.
+            unstarted = 0
+            for s in state.pending:
+                left = s.prefill_target - s.prefilled_tokens
+                if left > 0:
+                    unstarted += left
+            for s in state.waiting:
+                left = s.prefill_target - s.prefilled_tokens
+                if left > 0:
+                    unstarted += left
+            self._agg_unstarted = unstarted
         return self._agg_unstarted
 
     def decode_backlog_tokens(self) -> float:

@@ -295,7 +295,7 @@ class SeesawEngine(BaseEngine):
             tr = self.options.tracing
             for seq in microbatch:
                 seq.advance_prefill(seq.remaining_prefill)
-                seq.prefill_end_time = now
+                state.complete_prefill(seq, now)
                 seq.mark_first_token(now)
                 if tr is not None:
                     tr.note_resume(now, seq.seq_id)
@@ -561,7 +561,7 @@ class SeesawEngine(BaseEngine):
             for seq in admitted:
                 seq.advance_prefill(seq.remaining_prefill)
                 seq.state = SequenceState.RUNNING
-                seq.prefill_end_time = now
+                state.complete_prefill(seq, now)
                 seq.mark_first_token(now)
                 state.start_running(seq)
             tr = self.options.tracing

@@ -97,8 +97,9 @@ class EngineOptions:
     max_dp: int | None = None
     # Fidelity tier of the coupled path: "event" co-simulates every engine
     # iteration; "fluid" replaces replicas with calibrated mean-field
-    # queues (repro.cluster.fluid) for million-request scale; "auto"
-    # picks fluid when requests x replica ceiling crosses
+    # queues (repro.cluster.fluid) for million-request scale, for the
+    # engines it is calibrated for (BaseEngine.fluid_calibrated); "auto"
+    # picks fluid for those when requests x replica ceiling crosses
     # AUTO_FLUID_WORK_ITEMS. Decoupled runs ignore this knob.
     fidelity: str = "event"
     # Vectorized decode bookkeeping (numpy slot arrays). The scalar path
@@ -243,15 +244,19 @@ class ReplicaState:
         # exact integer sum of remaining_decode over live sequences,
         # maintained at every site that adds/removes owned sequences or
         # advances decode. ``prefill_epoch`` is a dirty counter bumped by
-        # every mutation that can change the queued-prefill aggregates
-        # (queue membership, prefill progress, running membership) — pure
-        # decode iterations deliberately do NOT bump it, which is what
-        # makes per-arrival dispatch decisions O(log S) instead of O(S).
+        # every mutation that can change the unstarted-prefill sum over
+        # the queues (queue membership, prefill progress; running-set
+        # churn bumps it too) — pure decode iterations deliberately do NOT
+        # bump it, so steady-state dispatch probes skip the queue walk.
         self.decode_backlog = sum(max(0, r.output_len - 1) for r in requests)
         self.prefill_epoch = 0
         # Vectorized decode slot arrays (engines/slots.py); None = the
         # object lists are authoritative.
         self.slots = None
+        # (prefill_end_time, sequence) per completed prefill, in end
+        # order; attached by the coupled cluster's observed-load view
+        # (repro.cluster.replica), None everywhere else.
+        self.completions: deque[tuple[float, Sequence]] | None = None
         self.admit_arrivals(0.0)
 
     def admit_arrivals(self, now: float) -> int:
@@ -313,6 +318,18 @@ class ReplicaState:
         self.running.append(seq)
         if self.slots is not None:
             self.slots.append(seq, self.kv)
+
+    def complete_prefill(self, seq: Sequence, now: float) -> None:
+        """Stamp ``seq``'s prefill as completing at ``now``.
+
+        The single choke point for prefill completions: it also appends
+        the completion to :attr:`completions` when an observed-load view
+        keeps one, so the in-flight part of a dispatch probe walks only
+        the newest completions instead of every live sequence.
+        """
+        seq.prefill_end_time = now
+        if self.completions is not None:
+            self.completions.append((now, seq))
 
     def drop_slots(self) -> None:
         """Invalidate the vectorized decode arrays (syncing any drifted
@@ -417,6 +434,10 @@ class BaseEngine(abc.ABC):
     """
 
     name: str = "base"
+    # Whether the fluid fast path (repro.cluster.fluid) is calibrated for
+    # this engine's scheduler; fidelity="auto" keeps every other engine
+    # on the event path, and fidelity="fluid" refuses it.
+    fluid_calibrated: bool = False
 
     def __init__(
         self,
@@ -467,7 +488,8 @@ class BaseEngine(abc.ABC):
                 cap = self.options.max_dp or self.config.dp
                 fidelity = (
                     "fluid"
-                    if len(requests) * cap >= AUTO_FLUID_WORK_ITEMS
+                    if self.fluid_calibrated
+                    and len(requests) * cap >= AUTO_FLUID_WORK_ITEMS
                     else "event"
                 )
             if fidelity == "fluid":

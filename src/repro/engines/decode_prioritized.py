@@ -68,7 +68,7 @@ class DecodePrioritizedEngine(BaseEngine):
                     seq.mark_scheduled(admit_time)
                     seq.advance_prefill(seq.remaining_prefill)
                     seq.state = SequenceState.RUNNING
-                    seq.prefill_end_time = now
+                    state.complete_prefill(seq, now)
                     seq.mark_first_token(now)
                     state.start_running(seq)
                 tr = self.options.tracing

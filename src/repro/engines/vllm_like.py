@@ -27,6 +27,7 @@ class VllmLikeEngine(BaseEngine):
     """Static-config continuous-batching engine."""
 
     name = "vllm"
+    fluid_calibrated = True
 
     def label(self) -> str:
         suffix = "+chunked" if self.options.chunked_prefill else ""
@@ -88,7 +89,7 @@ class VllmLikeEngine(BaseEngine):
                 seq.mark_scheduled(admit_time)
                 seq.advance_prefill(seq.remaining_prefill)
                 seq.state = SequenceState.RUNNING
-                seq.prefill_end_time = now
+                state.complete_prefill(seq, now)
                 seq.mark_first_token(now)
                 state.start_running(seq)
             tr = self.options.tracing
@@ -290,7 +291,7 @@ class VllmLikeEngine(BaseEngine):
                         self.preempt(state, victim, now, metrics)
         for seq in completing:
             seq.state = SequenceState.RUNNING
-            seq.prefill_end_time = now
+            state.complete_prefill(seq, now)
             seq.mark_first_token(now)
             state.start_running(seq)
         tr = self.options.tracing

@@ -1,14 +1,41 @@
 """Command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _command_paths(parser, prefix=()):
+    """Every subcommand path of ``parser``, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield (*prefix, name)
+                yield from _command_paths(sub, (*prefix, name))
+
+
+COMMAND_PATHS = list(_command_paths(build_parser()))
 
 
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_command_paths_cover_nested(self):
+        for path in (("run",), ("trace",), ("check", "lint"), ("cache", "stats")):
+            assert path in COMMAND_PATHS
+
+    @pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+    def test_help_exits_zero(self, path, capsys):
+        """Every help text renders: a stray ``%`` in a help string makes
+        argparse's %-formatting raise instead of printing."""
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])

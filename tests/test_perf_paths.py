@@ -28,25 +28,42 @@ Contracts:
 8. **Columnar latency** — a fluid run hands its stamps over as
    ``LatencyStats`` columns and builds no ``RequestLatency``; the
    records are materialized once, on first access (counted).
+9. **Observed-load log == rescan** — every coupled dispatch probe
+   answered from the prefill-completion log equals the live-sequence
+   rescan it replaced (hypothesis, engines x routers x autoscaler, plus
+   a KV-tight recompute cell), and the log entries probes visit grow
+   linearly with the request count (counted).
+10. **Fluid engine guard** — only vllm-like engines run on the fluid
+    path; ``auto`` keeps every other engine on the event path.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.cluster.fluid as fluid_mod
+import repro.cluster.replica as replica_mod
 import repro.routing.load as load_mod
 import repro.runtime.latency as latency_mod
 from repro.bench import CELLS, check_measurement, run_cell
 from repro.cluster import ClusterSimulator
 from repro.cluster.fluid import AUTO_FLUID_WORK_ITEMS
+from repro.cluster.replica import ReplicaSim
 from repro.core.engine import SeesawEngine
 from repro.core.options import SeesawOptions
 from repro.engines.base import BaseEngine, EngineOptions
 from repro.engines.decode_prioritized import DecodePrioritizedEngine
 from repro.engines.slots import DecodeSlots
 from repro.engines.vllm_like import VllmLikeEngine
+from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.cluster import make_cluster
 from repro.models.registry import get_model
+from repro.obs import Telemetry
 from repro.parallel.config import ParallelConfig, parse_config, parse_transition
+from repro.runtime.kvcache import KVCacheManager
 from repro.runtime.latency import RequestLatency
 from repro.runtime.request import Request, Sequence
 from repro.workloads.arrivals import (
@@ -394,6 +411,200 @@ class TestLinearBacklog:
             assert large[name] <= 2.2 * small[name], (name, small[name], large[name])
 
 
+class TightKVVllm(VllmLikeEngine):
+    """Caps every replica's KV cache so decode growth must evict (the
+    tiny model never fills a 24 GiB GPU on its own)."""
+
+    def make_kv(self, config=None, reserve_tokens=0):
+        return KVCacheManager(capacity_tokens=6144, block_size=16)
+
+
+def rescan_unstarted(state) -> int:
+    """Reference: remaining prompt tokens over both queues."""
+    return sum(s.remaining_prefill for q in (state.pending, state.waiting) for s in q)
+
+
+def rescan_queued_prefill_tokens(sim, now: float) -> float:
+    """Reference observed-load answer: the full live-sequence rescan the
+    completion log replaced — unstarted prompts plus every completed
+    prefill whose end lies past ``now``."""
+    state = sim.run.state
+    inflight = sum(
+        s.prefill_target
+        for s in state.live_sequences()
+        if s.is_prefill_complete and s.prefill_end_time > now + 1e-12
+    )
+    return float(rescan_unstarted(state) + inflight)
+
+
+def checked_run(engine, reqs):
+    """Run ``engine`` on the coupled clock with every observed-load probe
+    asserted equal to the rescan oracle; returns (result, stats)."""
+    fast = ReplicaSim.queued_prefill_tokens
+    stats = {"probes": 0, "inflight": 0, "retargeted": 0}
+
+    def checked(sim, now=None):
+        got = fast(sim, now)
+        at = sim.clock if now is None else now
+        assert got == rescan_queued_prefill_tokens(sim, at), (sim.replica_id, at)
+        assert sim.unstarted_prefill_tokens() == rescan_unstarted(sim.run.state)
+        stats["probes"] += 1
+        for end, seq in sim.run.state.completions:
+            if end > at + 1e-12:
+                stats["inflight"] += 1
+                if not seq.is_prefill_complete:
+                    stats["retargeted"] += 1
+        return got
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ReplicaSim, "queued_prefill_tokens", checked)
+        result = engine.run(reqs)
+    return result, stats
+
+
+def observed_engine(kind, model, cluster, router, autoscaled):
+    opts = dict(router=router, router_seed=3, coupled=True, ttft_slo=2.0)
+    if autoscaled:
+        # Telemetry samples look back to grid boundaries the autoscaler's
+        # probe of the same arrival already passed.
+        opts.update(
+            autoscaler="threshold", min_dp=1, max_dp=2,
+            telemetry=Telemetry(interval_s=0.25),
+        )
+    if kind == "seesaw":
+        cp, cd = parse_transition("D2P2->D2T2")
+        return SeesawEngine(model, cluster, cp, cd, SeesawOptions(**opts))
+    cls = VllmLikeEngine if kind == "vllm" else DecodePrioritizedEngine
+    return cls(model, cluster, parse_config("D2T2"), EngineOptions(**opts))
+
+
+class TestObservedLoadLog:
+    """Observed-load probes read the prefill-completion log and answer
+    exactly what the full live-sequence rescan answered."""
+
+    @pytest.mark.parametrize("autoscaled", [False, True])
+    @pytest.mark.parametrize("router", ["jsq", "least-work", "slo", "po2"])
+    @pytest.mark.parametrize("kind", ["vllm", "seesaw", "decode-prio"])
+    @given(
+        n=st.integers(8, 60),
+        seed=st.integers(0, 10_000),
+        rate=st.floats(2.0, 40.0),
+        bursty=st.booleans(),
+    )
+    @settings(max_examples=5, deadline=None)
+    def test_probes_match_rescan(
+        self, cluster_a10_4, kind, router, autoscaled, n, seed, rate, bursty
+    ):
+        # 15b iterations are long enough that committed prefills often
+        # overshoot the next arrival, so the in-flight walk has work.
+        wl = sharegpt_workload(n, seed=seed)
+        reqs = (
+            bursty_arrivals(wl, rate, burstiness=6.0, seed=seed)
+            if bursty
+            else poisson_arrivals(wl, rate, seed=seed)
+        )
+        engine = observed_engine(kind, get_model("15b"), cluster_a10_4, router, autoscaled)
+        result, stats = checked_run(engine, reqs)
+        assert result.num_requests == n
+        assert stats["probes"] > 0
+
+    def test_kv_tight_recompute_retargets(self, tiny_model, cluster_a10_4):
+        """Recompute preemptions re-target completed prefills still in
+        the log; the probe must skip them exactly as the rescan does."""
+        reqs = bursty_arrivals(
+            sharegpt_workload(120, seed=23), 16.0, burstiness=8.0, seed=23
+        )
+        engine = TightKVVllm(
+            tiny_model, cluster_a10_4, parse_config("D2T2"),
+            EngineOptions(router="jsq", coupled=True),
+        )
+        result, stats = checked_run(engine, reqs)
+        assert sum(result.router.observed_preemptions) > 0
+        assert stats["inflight"] > 0
+        assert stats["retargeted"] > 0
+
+    def test_recompleted_prefill_counts_once(self, tiny_model, cluster_a10_4):
+        """A recompute before the first decode step re-completes the same
+        prompt: only the latest log entry may count."""
+        sim = ReplicaSim(
+            VllmLikeEngine(
+                tiny_model, cluster_a10_4, parse_config("D2T2"),
+                EngineOptions(router="jsq", coupled=True),
+            ),
+            0,
+        )
+        state = sim.run.state
+        seq = Sequence(Request(0, 100, 10))
+        state.running.append(seq)
+        seq.advance_prefill(100)
+        state.complete_prefill(seq, 1.0)
+        seq.preempt_recompute()
+        seq.advance_prefill(100)
+        state.complete_prefill(seq, 2.0)
+        for now in (0.5, 1.5, 2.5):
+            expected = rescan_queued_prefill_tokens(sim, now)
+            assert sim.queued_prefill_tokens(now) == expected
+        assert expected == 0.0 and rescan_queued_prefill_tokens(sim, 0.5) == 100.0
+
+    def test_log_absent_off_the_coupled_path(self, tiny_model, cluster_a10_4):
+        engine = VllmLikeEngine(tiny_model, cluster_a10_4, parse_config("T2"))
+        run = engine._replica_setup([Request(0, 64, 4)], 0)
+        assert run.state.completions is None
+
+    def test_backward_probe_refused(self, tiny_model, cluster_a10_4):
+        sim = ReplicaSim(
+            VllmLikeEngine(
+                tiny_model, cluster_a10_4, parse_config("D2T2"),
+                EngineOptions(router="jsq", coupled=True),
+            ),
+            0,
+        )
+        sim.queued_prefill_tokens(4.0)
+        sim.queued_prefill_tokens(5.0)
+        # A telemetry boundary may look back past the latest probe ...
+        sim.queued_prefill_tokens(4.5)
+        sim.queued_prefill_tokens(4.0 - 1e-13)  # (within the epsilon)
+        # ... but never behind the one before it.
+        with pytest.raises(SimulationError, match="probe"):
+            sim.queued_prefill_tokens(3.0)
+
+
+class TestLinearObservedProbes:
+    """Completion-log entries visited by observed-load probes in a coupled
+    Seesaw JSQ run at N and 2N requests (counted, not timed): a probe
+    walks only the prefills still in flight at its instant, and each
+    entry is trimmed once."""
+
+    def counted_run(self, model, cluster, n):
+        counts = {"visited": 0, "trimmed": 0}
+
+        class CountingLog(deque):
+            def __reversed__(self):
+                for item in deque.__reversed__(self):
+                    counts["visited"] += 1
+                    yield item
+
+            def popleft(self):
+                counts["trimmed"] += 1
+                return deque.popleft(self)
+
+        reqs = poisson_arrivals(sharegpt_workload(n, seed=31), 6.0, seed=31)
+        cp, cd = parse_transition("D2P2->D2T2")
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(replica_mod, "deque", CountingLog)
+            SeesawEngine(
+                model, cluster, cp, cd, SeesawOptions(router="jsq", coupled=True)
+            ).run(reqs)
+        return counts
+
+    def test_visits_grow_linearly(self, tiny_model, cluster_a10_4):
+        small = self.counted_run(tiny_model, cluster_a10_4, 150)
+        large = self.counted_run(tiny_model, cluster_a10_4, 300)
+        for name in small:
+            assert small[name] > 0
+            assert large[name] <= 2.2 * small[name], (name, small[name], large[name])
+
+
 class TestArrayNativeWorkloads:
     """Work counters of ``diurnal_arrivals`` at 1k and 10k requests."""
 
@@ -509,6 +720,46 @@ class TestFluidCalibration:
         auto = self._run("auto", reqs)
         assert auto.iterations == event.iterations
         assert auto.latency.records == event.latency.records
+
+
+
+class TestFluidEngineGuard:
+    """The fluid path models only vllm-like replicas: an explicit
+    ``fidelity="fluid"`` refuses every other engine, and ``auto`` keeps
+    them on the event path whatever the work volume."""
+
+    REQS = poisson_arrivals(sharegpt_workload(40, seed=5), 4.0, seed=5)
+
+    def engines(self, fidelity):
+        model, cluster = get_model("15b"), make_cluster("A10", 8)
+        opts = dict(router="jsq", coupled=True, fidelity=fidelity)
+        cp, cd = parse_transition("D2P4->D2T4")
+        return {
+            "seesaw": SeesawEngine(model, cluster, cp, cd, SeesawOptions(**opts)),
+            "decode-prio": DecodePrioritizedEngine(
+                model, cluster, parse_config("D2T4"), EngineOptions(**opts)
+            ),
+            "vllm": VllmLikeEngine(
+                model, cluster, parse_config("D2T4"), EngineOptions(**opts)
+            ),
+        }
+
+    @pytest.mark.parametrize("kind", ["seesaw", "decode-prio"])
+    def test_fluid_refuses_uncalibrated_engines(self, kind):
+        with pytest.raises(ConfigurationError, match="fluid fidelity models only"):
+            self.engines("fluid")[kind].run(self.REQS)
+
+    @pytest.mark.parametrize("kind", ["seesaw", "decode-prio", "vllm"])
+    def test_auto_above_threshold(self, kind, monkeypatch):
+        monkeypatch.setattr(fluid_mod, "AUTO_FLUID_WORK_ITEMS", 1)
+        auto = self.engines("auto")[kind].run(self.REQS)
+        # vllm-like still switches to fluid; every other engine falls
+        # back to the event path, so Seesaw still re-shards.
+        expected = "fluid" if kind == "vllm" else "event"
+        same = self.engines(expected)[kind].run(self.REQS)
+        assert auto == same
+        if kind == "seesaw":
+            assert auto.transitions > 0
 
 
 class TestBenchHarness:
